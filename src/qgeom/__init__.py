@@ -52,16 +52,16 @@ from .geometry import (
 )
 from .projective import (
     Flat,
-    Point,
-    canonical_point,
+    canonical_vec,
     enumerate_flats,
-    enumerate_points,
     extend_flat,
     flat_contains_point,
     flat_intersect,
     flat_points,
     gaussian_binomial,
     pg_size,
+    point_index,
+    point_vec,
     span,
 )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FieldMismatch
-from .projective import canonical_vec, enumerate_points, point_index, rref
+from .projective import combine, point_index, point_vec, rref
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class EmbedSearcher:
         coords = []
         for v in vecs:
             y = [v[c] for c in pivots]
-            coords.append(tuple(self._row_times(y, T)))
+            coords.append(combine(y, T, f))
         self.coords = coords
 
         # Guest point j becomes checkable once basis images 1..level(j) are
@@ -78,15 +78,6 @@ class EmbedSearcher:
             levels[lvl].append(j)
         self.levels = levels
         self.basis_positions = basis_positions
-
-    def _row_times(self, y, M):
-        f = self.f
-        width = len(M[0])
-        out = [0] * width
-        for yi, row in zip(y, M):
-            if yi:
-                out = [f.add(x, f.mul(yi, r)) for x, r in zip(out, row)]
-        return out
 
     def find(self, host_indices, host_ambient, anchor=None):
         """Search for an embedding into the given host point set.
@@ -101,9 +92,8 @@ class EmbedSearcher:
             return EmbeddingWitness(map=(), point_map=())
         if self.size > len(host_indices) or m > host_ambient:
             return None
-        all_pts = enumerate_points(host_ambient, f)
         host_sorted = sorted(host_indices)
-        host_vecs = [all_pts[i].vec for i in host_sorted]
+        host_vecs = [point_vec(i, host_ambient, f) for i in host_sorted]
         host_set = frozenset(host_indices)
         nonzero = range(1, f.q)
 
@@ -115,9 +105,8 @@ class EmbedSearcher:
             # Map every guest point that is now determined; None on failure.
             placed = []
             for j in self.levels[i + 1]:
-                img = self._row_times(
-                    [self.coords[j][k] for k in range(i + 1)], scaled[:i + 1])
-                idx = point_index(canonical_vec(img, f), host_ambient, f)
+                img = combine(self.coords[j], scaled[:i + 1], f)
+                idx = point_index(img, host_ambient, f)
                 if idx not in host_set:
                     for jj in placed:
                         images[jj] = None
@@ -158,8 +147,7 @@ class EmbedSearcher:
         return backtrack(0)
 
     def _witness(self, scaled, images, host_ambient):
-        rows = [tuple(self._row_times(trow, scaled))
-                for trow in self.basis_to_rref]
+        rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
         return EmbeddingWitness(map=tuple(rows), point_map=tuple(images))
 
 
@@ -196,14 +184,10 @@ def verify_witness(G, H, w):
         return False
     host_points = G.point_set
     for v, claimed in zip(vecs, w.point_map):
-        img = [0] * n
-        for c, row in zip(pivots, w.map):
-            a = v[c]
-            if a:
-                img = [f.add(x, f.mul(a, y)) for x, y in zip(img, row)]
+        img = combine([v[c] for c in pivots], w.map, f)
         if not any(img):
             return False
-        idx = point_index(canonical_vec(tuple(img), f), n, f)
+        idx = point_index(img, n, f)
         if idx != claimed or idx not in host_points:
             return False
     return True

@@ -35,7 +35,3 @@ class EmptyGeometry(QgeomError):
 
 class InvalidEpsilon(QgeomError):
     """A (possibly recursive) epsilon value is not a positive rational."""
-
-
-class BudgetExhausted(QgeomError):
-    """Internal signal: a search ran out of its node or time budget."""

@@ -24,12 +24,11 @@ from .embed import EmbedSearcher, contains
 from .errors import FieldMismatch
 from .geometry import Geometry, critical_exponent, g_size
 from .projective import (
-    canonical_vec,
-    enumerate_points,
     iter_flats,
     flat_points,
     pg_size,
     point_index,
+    point_vec,
     span,
 )
 
@@ -67,17 +66,21 @@ def is_free(S, H):
 
 @lru_cache(maxsize=None)
 def _orbit_minimal(n, f):
-    """Point indices that are minimal in their coordinate-permutation orbit."""
-    pts = enumerate_points(n, f)
+    """Point indices that are minimal in their coordinate-permutation orbit.
+
+    Above rank 7 the n! permutations cost too much, so every point counts
+    as minimal; the range stands in for that set without building it.
+    """
+    total = pg_size(n, f)
     if n > 7:
-        return frozenset(range(len(pts)))
-    idx = {p.vec: p.index for p in pts}
+        return range(total)
     minimal = set()
-    for p in pts:
-        best = min(idx[canonical_vec(tuple(p.vec[j] for j in perm), f)]
+    for i in range(total):
+        v = point_vec(i, n, f)
+        best = min(point_index(tuple(v[j] for j in perm), n, f)
                    for perm in permutations(range(n)))
-        if best == p.index:
-            minimal.add(p.index)
+        if best == i:
+            minimal.add(i)
     return frozenset(minimal)
 
 
@@ -87,7 +90,8 @@ def ex_exact(H, n, budget=None):
     Exact unless the budget runs out, in which case the best set found so
     far is reported with status "lower-bound".
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError("ex_exact needs n >= 1")
     f = H.field
     budget = budget or Budget()
     searcher = EmbedSearcher(H)
@@ -140,12 +144,15 @@ def find_sparse_flat(G, m, c):
     Flats are enumerated lazily; returns the first hit or None after
     exhausting all rank-m flats.
     """
-    assert 1 <= c < m <= G.ambient
+    if not 1 <= c < m <= G.ambient:
+        raise ValueError("sparse-flat needs 1 <= c < m <= ambient rank")
     f, n = G.field, G.ambient
     gset = G.point_set
     for F in iter_flats(n, f, m):
-        hit = [p.vec for p in flat_points(F) if p.index in gset]
-        if span(hit, n, f).rank <= m - c:
+        hit = flat_points(F) & gset
+        # more points than a rank-(m-c) flat carries cannot span rank <= m-c
+        if len(hit) <= pg_size(m - c, f) and \
+                span([point_vec(i, n, f) for i in hit], n, f).rank <= m - c:
             return F
     return None
 

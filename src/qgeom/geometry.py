@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from .errors import EmptyGeometry
 from .field import FieldSpec, field_make
 from .projective import (
-    canonical_vec,
-    enumerate_points,
+    Flat,
+    flat_points,
     iter_flats,
     pg_size,
     point_index,
+    point_vec,
     rref,
     span,
 )
@@ -35,8 +36,10 @@ class Geometry:
 
     def __post_init__(self):
         pts = tuple(sorted(self.points))
-        assert len(pts) == len(set(pts)), "geometries are simple point sets"
-        assert all(0 <= i < pg_size(self.ambient, self.field) for i in pts)
+        if len(pts) != len(set(pts)):
+            raise ValueError("duplicate points: geometries are simple point sets")
+        if pts and (pts[0] < 0 or pts[-1] >= pg_size(self.ambient, self.field)):
+            raise ValueError("point index out of range for the ambient space")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -44,8 +47,7 @@ class Geometry:
         return frozenset(self.points)
 
     def point_vecs(self):
-        all_pts = enumerate_points(self.ambient, self.field)
-        return [all_pts[i].vec for i in self.points]
+        return [point_vec(i, self.ambient, self.field) for i in self.points]
 
     def __len__(self):
         return len(self.points)
@@ -53,11 +55,8 @@ class Geometry:
 
 def _standard_flat_points(m, f, r):
     """Indices of the points of the flat spanned by the first r basis vectors."""
-    hit = set()
-    for i, pt in enumerate(enumerate_points(m, f)):
-        if not any(pt.vec[r:]):
-            hit.add(i)
-    return hit
+    basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(r))
+    return flat_points(Flat(basis=basis, n=m, field=f))
 
 
 def make_pg(m, f):
@@ -67,7 +66,8 @@ def make_pg(m, f):
 
 def make_g(m, f, c):
     """G(m-1, q, c): PG(m-1, q) minus the canonical rank-(m-c) flat."""
-    assert 0 <= c <= m
+    if not 0 <= c <= m:
+        raise ValueError("family g needs 0 <= c <= m")
     removed = _standard_flat_points(m, f, m - c)
     keep = tuple(i for i in range(pg_size(m, f)) if i not in removed)
     return Geometry(field=f, ambient=m, points=keep)
@@ -116,34 +116,28 @@ def critical_exponent(H):
     inside = frozenset(point_index(v, m, f) for v in coords)
     for c in range(1, m + 1):
         for F in iter_flats(m, f, m - c):
-            if _flat_disjoint(F, inside, m, f):
+            if inside.isdisjoint(flat_points(F)):
                 return c
     raise AssertionError("unreachable: the rank-0 flat is always disjoint")
 
 
-def _flat_disjoint(F, point_indices, n, f):
-    from .projective import flat_points
-
-    return all(p.index not in point_indices for p in flat_points(F))
-
-
 def complement_geometry(H):
     """All points of the ambient PG not in H."""
+    inside = H.point_set
     keep = tuple(i for i in range(pg_size(H.ambient, H.field))
-                 if i not in H.point_set)
+                 if i not in inside)
     return Geometry(field=H.field, ambient=H.ambient, points=keep)
 
 
 def geometry_to_json(H):
     """Plain-dict form of the documented geometry JSON schema."""
-    all_pts = enumerate_points(H.ambient, H.field)
     return {
         "q": H.field.q,
         "p": H.field.p,
         "k": H.field.k,
         "modulus": list(H.field.modulus),
         "ambient": H.ambient,
-        "points": [list(all_pts[i].vec) for i in H.points],
+        "points": [list(v) for v in H.point_vecs()],
     }
 
 
@@ -161,14 +155,16 @@ def geometry_from_json(obj):
     n = int(obj["ambient"])
     if n < 1:
         raise ValueError("ambient rank must be at least 1")
+    points = obj["points"]
+    if not isinstance(points, list) or \
+            not all(isinstance(coords, list) for coords in points):
+        raise ValueError("points must be a list of coordinate lists")
     indices = []
-    for coords in obj["points"]:
+    for coords in points:
         v = tuple(int(x) for x in coords)
         if len(v) != n:
             raise ValueError("point coordinate list has wrong length")
         if not all(0 <= x < f.q for x in v):
             raise ValueError("coordinate code out of range for GF(%d)" % f.q)
-        indices.append(point_index(canonical_vec(v, f), n, f))
-    if len(indices) != len(set(indices)):
-        raise ValueError("duplicate points: geometries are simple point sets")
-    return Geometry(field=f, ambient=n, points=tuple(sorted(indices)))
+        indices.append(point_index(v, n, f))
+    return Geometry(field=f, ambient=n, points=tuple(indices))

@@ -1,10 +1,12 @@
 """Points and flats of PG(n-1, q).
 
 Vectors are tuples of field element codes, coordinate 0 first.  A point is
-the canonical representative of a rank-1 subspace: the unique scalar
-multiple whose first nonzero coordinate is 1.  Points are indexed by the
-lexicographic order of their canonical vectors (coordinates compared by
-code), which is the order iter_canonical_vectors yields them in.
+an integer index.  Its vector is the canonical representative of a rank-1
+subspace: the unique scalar multiple whose first nonzero coordinate is 1.
+Points are indexed by the lexicographic order of their canonical vectors
+(coordinates compared by code), which is the order iter_canonical_vectors
+yields them in; point_index and point_vec convert by arithmetic, so no
+table over the whole space is ever built.
 
 Flats are subspaces stored as reduced row-echelon bases, which are unique
 per subspace, so flats compare and hash structurally.  Rank here always
@@ -14,19 +16,10 @@ means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import PointInFlat, ZeroVector
 from .field import FieldSpec
-
-Vector = tuple
-
-
-@dataclass(frozen=True)
-class Point:
-    vec: Vector
-    index: int
 
 
 @dataclass(frozen=True)
@@ -65,28 +58,51 @@ def iter_canonical_vectors(n, f):
             yield head + tail
 
 
-@lru_cache(maxsize=None)
-def enumerate_points(n, f):
-    """All points of PG(n-1, q) as a tuple, position = index."""
-    return tuple(Point(vec=v, index=i)
-                 for i, v in enumerate(iter_canonical_vectors(n, f)))
-
-
-@lru_cache(maxsize=None)
-def _point_index_map(n, f):
-    return {pt.vec: pt.index for pt in enumerate_points(n, f)}
-
-
 def point_index(v, n, f):
-    """Index of the point spanned by v in the fixed enumeration."""
-    return _point_index_map(n, f)[canonical_vec(v, f)]
+    """Index of the point spanned by the nonzero vector v (any scaling).
 
-
-def canonical_point(v, f, n=None):
-    if n is None:
-        n = len(v)
+    The points whose leading 1 comes later number pg_size(n - 1 - lead);
+    the canonical tail after the leading 1, read in base q, counts the
+    points before v within its own block.
+    """
     cv = canonical_vec(v, f)
-    return Point(vec=cv, index=point_index(cv, n, f))
+    if len(cv) != n:
+        raise ValueError("vector length %d differs from ambient rank %d"
+                         % (len(cv), n))
+    lead = cv.index(1)
+    q = f.q
+    tail = 0
+    for x in cv[lead + 1:]:
+        tail = tail * q + x
+    return (q ** (n - 1 - lead) - 1) // (q - 1) + tail
+
+
+def point_vec(i, n, f):
+    """Canonical vector of point i of PG(n-1, q); inverse of point_index."""
+    if not 0 <= i < pg_size(n, f):
+        raise ValueError("point index %d out of range for rank %d over GF(%d)"
+                         % (i, n, f.q))
+    q = f.q
+    t, block = 0, 1  # tail length, and the q^t points with that tail length
+    while i >= block:
+        i -= block
+        t += 1
+        block *= q
+    tail = [0] * t
+    for k in range(t - 1, -1, -1):
+        i, tail[k] = divmod(i, q)
+    return (0,) * (n - 1 - t) + (1,) + tuple(tail)
+
+
+def combine(coeffs, rows, f):
+    """The linear combination sum(a * row) over GF(q); rows is nonempty."""
+    out = (0,) * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        if a:
+            if a != 1:
+                row = [f.mul(a, y) for y in row]
+            out = [f.add(x, y) for x, y in zip(out, row)]
+    return tuple(out)
 
 
 def pg_size(n, f):
@@ -146,76 +162,40 @@ def rref(rows, n, f, transform=False):
     return out, tuple(pivots)
 
 
-def reduce_vector(v, basis, pivots, f):
-    """Remainder of v after elimination against RREF rows."""
-    v = list(v)
-    for row, c in zip(basis, pivots):
-        if v[c]:
-            factor = v[c]
-            v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def span(points, n, f):
-    """The flat spanned by a collection of points (or raw vectors)."""
-    rows = [p.vec if isinstance(p, Point) else tuple(p) for p in points]
-    basis, _ = rref(rows, n, f)
+def span(vecs, n, f):
+    """The flat spanned by a collection of vectors."""
+    basis, _ = rref([tuple(v) for v in vecs], n, f)
     return Flat(basis=basis, n=n, field=f)
 
 
-def flat_contains_point(F, p):
-    v = p.vec if isinstance(p, Point) else tuple(p)
-    assert len(v) == F.n, "ambient rank mismatch"
-    return not any(reduce_vector(v, F.basis, _pivots_of(F), F.field))
-
-
-def _pivots_of(F):
-    # RREF pivots are recoverable as the first nonzero column of each row.
-    pivots = []
-    for row in F.basis:
-        for c, x in enumerate(row):
-            if x:
-                pivots.append(c)
-                break
-    return tuple(pivots)
-
-
-def nullspace(rows, n, f):
-    """RREF basis of {x : rows @ x = 0} (orthogonal complement of the row space)."""
-    basis, pivots = rref(rows, n, f)
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for c in free:
-        x = [0] * n
-        x[c] = 1
-        for row, pc in zip(basis, pivots):
-            x[pc] = f.neg(row[c])
-        out.append(tuple(x))
-    nb, _ = rref(out, n, f)
-    return nb
+def flat_contains_point(F, v):
+    """True iff the vector v lies in the subspace F."""
+    v = tuple(v)
+    if len(v) != F.n:
+        raise ValueError("ambient rank mismatch")
+    return span(F.basis + (v,), F.n, F.field).rank == F.rank
 
 
 def flat_intersect(F1, F2):
-    """Intersection of two flats, via double orthogonal complement."""
+    """Intersection of two flats, by the Zassenhaus method.
+
+    Reducing the rows [a | a] for a in F1 and [b | 0] for b in F2 leaves
+    rows whose left half is zero; their right halves are a basis of the
+    intersection, already in reduced echelon form.
+    """
     assert F1.n == F2.n and F1.field == F2.field, "ambient mismatch"
     n, f = F1.n, F1.field
-    n1 = nullspace(F1.basis, n, f)
-    n2 = nullspace(F2.basis, n, f)
-    basis = nullspace(n1 + n2, n, f)
+    rows = [a + a for a in F1.basis] + [b + (0,) * n for b in F2.basis]
+    R, pivots = rref(rows, 2 * n, f)
+    basis = tuple(r[n:] for r, c in zip(R, pivots) if c >= n)
     return Flat(basis=basis, n=n, field=f)
 
 
 def flat_points(F):
-    """The (q^r - 1)/(q - 1) points lying on F."""
-    f, n, r = F.field, F.n, F.rank
-    pts = set()
-    for coeffs in iter_canonical_vectors(r, f) if r else ():
-        v = [0] * n
-        for a, row in zip(coeffs, F.basis):
-            if a:
-                v = [f.add(x, f.mul(a, y)) for x, y in zip(v, row)]
-        pts.add(canonical_point(tuple(v), f, n))
-    return pts
+    """Indices of the (q^r - 1)/(q - 1) points lying on F."""
+    f, n = F.field, F.n
+    return frozenset(point_index(combine(a, F.basis, f), n, f)
+                     for a in iter_canonical_vectors(F.rank, f))
 
 
 def iter_flats(n, f, k):
@@ -246,10 +226,9 @@ def enumerate_flats(n, f, k):
     return list(iter_flats(n, f, k))
 
 
-def extend_flat(F, p):
-    """The flat spanned by F and one extra point; rank grows by exactly 1."""
-    if flat_contains_point(F, p):
+def extend_flat(F, v):
+    """The flat spanned by F and one extra vector; rank grows by exactly 1."""
+    G = span(F.basis + (tuple(v),), F.n, F.field)
+    if G.rank == F.rank:
         raise PointInFlat("point already lies on the flat")
-    v = p.vec if isinstance(p, Point) else tuple(p)
-    basis, _ = rref(list(F.basis) + [v], F.n, F.field)
-    return Flat(basis=basis, n=F.n, field=F.field)
+    return G

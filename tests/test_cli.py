@@ -59,6 +59,31 @@ def test_invalid_input_exits_2(tmp_path):
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "NotPrimePower"
 
+    line = tmp_path / "line.json"
+    fano = tmp_path / "fano.json"
+    run_cli("make", "pg", "-m", "2", "-q", "2", "-o", str(line))
+    run_cli("make", "pg", "-m", "3", "-q", "2", "-o", str(fano))
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], '
+                      '"ambient": 3, "points": 5}')
+    for argv in (["make", "g", "-m", "3", "-q", "2", "-c", "7"],
+                 ["extremal", str(line), "-n", "0"],
+                 ["sparse-flat", str(fano), "-m", "5", "-c", "1"],
+                 ["critical", str(scalar)]):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert "error" in json.loads(r.stderr), argv
+
+
+def test_critical_loads_high_ambient_without_whole_space_tables(tmp_path):
+    # one point of PG(39, 2): nothing may be built over all 2^40 - 1 points
+    path = tmp_path / "one_point.json"
+    path.write_text(json.dumps({"q": 2, "p": 2, "k": 1, "modulus": [],
+                                "ambient": 40, "points": [[1] + [0] * 39]}))
+    r = run_cli("critical", str(path), timeout=5)
+    assert r.returncode == 0
+    assert r.stdout.strip() == "1"
+
 
 def test_extremal_command(tmp_path):
     forbid = tmp_path / "line.json"

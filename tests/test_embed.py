@@ -26,8 +26,7 @@ def test_line_in_fano():
     assert w is not None
     assert verify_witness(host, guest, w)
     # independent cross-check: the mapped points really form a Fano line
-    lines = {frozenset(p.index for p in flat_points(L))
-             for L in enumerate_flats(3, F2, 2)}
+    lines = {flat_points(L) for L in enumerate_flats(3, F2, 2)}
     assert frozenset(w.point_map) in lines
 
 
@@ -36,7 +35,7 @@ def test_no_line_in_affine_plane():
     # oracle: none of the 7 Fano lines has all 3 points inside AG(2,2)
     host_set = host.point_set
     for L in enumerate_flats(3, F2, 2):
-        assert not {p.index for p in flat_points(L)} <= host_set
+        assert not flat_points(L) <= host_set
     assert contains(host, guest) is None
 
 
@@ -45,7 +44,7 @@ def test_affine_plane_inside_pg32():
     # oracle: some plane minus one of its lines lies inside PG(3,2)
     found = False
     for plane in enumerate_flats(4, F2, 3):
-        plane_pts = {p.index for p in flat_points(plane)}
+        plane_pts = flat_points(plane)
         if plane_pts <= host.point_set:
             found = True
             break

@@ -101,20 +101,28 @@ def test_budget_exhaustion_degrades_to_lower_bound():
     assert is_free(res.witness, make_pg(2, F2))
 
 
+def test_argument_checks_raise_value_error():
+    with pytest.raises(ValueError):
+        ex_exact(make_pg(2, F2), 0)
+    with pytest.raises(ValueError):
+        find_sparse_flat(make_pg(3, F2), 5, 1)
+    with pytest.raises(ValueError):
+        find_sparse_flat(make_pg(3, F2), 2, 2)
+
+
 def test_find_sparse_flat_examples():
     one_pt = Geometry(field=F2, ambient=3, points=(0,))
     F = find_sparse_flat(one_pt, 2, 1)
     assert F is not None
-    assert all(p.index != 0 for p in flat_points(F))
+    assert all(i != 0 for i in flat_points(F))
 
     assert find_sparse_flat(make_pg(3, F2), 2, 1) is None
 
-    line_pts = tuple(sorted(p.index for p in
-                            flat_points(enumerate_flats(3, F2, 2)[0])))
+    line_pts = tuple(sorted(flat_points(enumerate_flats(3, F2, 2)[0])))
     line_geom = Geometry(field=F2, ambient=3, points=line_pts)
     F = find_sparse_flat(line_geom, 2, 1)
     assert F is not None
-    hit = [p for p in flat_points(F) if p.index in line_geom.point_set]
+    hit = [i for i in flat_points(F) if i in line_geom.point_set]
     assert len(hit) == 1
 
 

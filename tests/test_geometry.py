@@ -7,7 +7,6 @@ from qgeom import (
     Geometry,
     complement_geometry,
     critical_exponent,
-    enumerate_points,
     field_make,
     g_size,
     geometry_from_json,
@@ -144,6 +143,25 @@ def test_json_recanonicalizes_and_rejects_duplicates():
     obj["points"][0] = [f.mul(2, x) for x in obj["points"][0]]
     assert geometry_from_json(obj) == make_pg(2, f)
     obj["points"].append(obj["points"][1])
+    with pytest.raises(ValueError):
+        geometry_from_json(obj)
+
+
+@pytest.mark.parametrize("points", [(7,), (-1,), (2, 2)])
+def test_geometry_rejects_bad_point_indices(points):
+    with pytest.raises(ValueError):
+        Geometry(field=F2, ambient=3, points=points)
+
+
+def test_make_g_rejects_c_above_m():
+    with pytest.raises(ValueError):
+        make_g(3, F2, 7)
+
+
+@pytest.mark.parametrize("points", [5, [5], "11"])
+def test_json_rejects_points_not_a_list_of_lists(points):
+    obj = geometry_to_json(make_pg(2, F2))
+    obj["points"] = points
     with pytest.raises(ValueError):
         geometry_from_json(obj)
 

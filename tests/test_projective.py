@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from qgeom import (
     PointInFlat,
     ZeroVector,
-    canonical_point,
+    canonical_vec,
     enumerate_flats,
-    enumerate_points,
     extend_flat,
     field_make,
     flat_contains_point,
@@ -17,6 +16,8 @@ from qgeom import (
     flat_points,
     gaussian_binomial,
     pg_size,
+    point_index,
+    point_vec,
     span,
 )
 from qgeom.projective import Flat, iter_canonical_vectors, iter_flats
@@ -25,22 +26,22 @@ F2 = field_make(2)
 F3 = field_make(3)
 
 
-def test_canonical_point_scales_leading_coefficient():
-    assert canonical_point((0, 2, 1), F3).vec == (0, 1, 2)
-    assert canonical_point((1, 1, 0), F2).vec == (1, 1, 0)
-    assert canonical_point((3, 0, 0, 0), field_make(5)).vec == (1, 0, 0, 0)
+def test_canonical_vec_scales_leading_coefficient():
+    assert canonical_vec((0, 2, 1), F3) == (0, 1, 2)
+    assert canonical_vec((1, 1, 0), F2) == (1, 1, 0)
+    assert canonical_vec((3, 0, 0, 0), field_make(5)) == (1, 0, 0, 0)
 
 
-def test_canonical_point_rejects_zero():
+def test_point_index_rejects_zero():
     with pytest.raises(ZeroVector):
-        canonical_point((0, 0, 0), F2)
+        point_index((0, 0, 0), 3, F2)
 
 
 def test_point_counts():
-    assert len(enumerate_points(3, F2)) == 7  # the Fano plane
-    assert len(enumerate_points(2, F3)) == 4
-    assert len(enumerate_points(1, field_make(5))) == 1
-    assert enumerate_points(1, field_make(5))[0].vec == (1,)
+    assert len(list(iter_canonical_vectors(3, F2))) == 7  # the Fano plane
+    assert len(list(iter_canonical_vectors(2, F3))) == 4
+    assert len(list(iter_canonical_vectors(1, field_make(5)))) == 1
+    assert point_vec(0, 1, field_make(5)) == (1,)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
@@ -49,24 +50,25 @@ def test_point_count_matches_pg_size(q, n):
     f = field_make(q)
     expected = pg_size(n, f)
     if expected <= 50_000:
-        pts = enumerate_points(n, f)
-        assert len(pts) == expected
-        assert all(p.index == i for i, p in enumerate(pts))
+        vecs = list(iter_canonical_vectors(n, f))
+        assert len(vecs) == expected
+        assert all(point_index(v, n, f) == i and point_vec(i, n, f) == v
+                   for i, v in enumerate(vecs))
     else:
         # count without materializing the (large) indexed enumeration
         assert sum(1 for _ in iter_canonical_vectors(n, f)) == expected
+    for bad in (-1, expected):
+        with pytest.raises(ValueError):
+            point_vec(bad, n, f)
 
 
 def test_enumeration_is_lexicographic():
-    pts = enumerate_points(3, F3)
-    vecs = [p.vec for p in pts]
+    vecs = [point_vec(i, 3, F3) for i in range(pg_size(3, F3))]
     assert vecs == sorted(vecs)
 
 
 def test_span_basics():
-    pts = enumerate_points(3, F2)
-    by_vec = {p.vec: p for p in pts}
-    e1, e2, e12 = by_vec[(1, 0, 0)], by_vec[(0, 1, 0)], by_vec[(1, 1, 0)]
+    e1, e2, e12 = (1, 0, 0), (0, 1, 0), (1, 1, 0)
     assert span([e1, e2], 3, F2).rank == 2
     assert span([e1, e2, e12], 3, F2) == span([e1, e2], 3, F2)
     assert span([], 3, F2).rank == 0
@@ -76,14 +78,14 @@ def test_span_basics():
 @given(st.data())
 def test_span_invariant_under_order_and_rescaling(data):
     f = data.draw(st.sampled_from([F2, F3]))
-    pts = enumerate_points(3, f)
+    pts = list(iter_canonical_vectors(3, f))
     subset = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=5))
     base = span(subset, 3, f)
     shuffled = data.draw(st.permutations(subset))
     scaled = []
     for p in shuffled:
         s = data.draw(st.integers(min_value=1, max_value=f.q - 1))
-        scaled.append(tuple(f.mul(s, x) for x in p.vec))
+        scaled.append(tuple(f.mul(s, x) for x in p))
     assert span(scaled, 3, f) == base
 
 
@@ -123,23 +125,22 @@ def test_flat_points_count_and_membership():
         for F in enumerate_flats(4, F2, k):
             pts = flat_points(F)
             assert len(pts) == pg_size(k, F2)
-            assert all(flat_contains_point(F, p) for p in pts)
+            assert all(flat_contains_point(F, point_vec(i, 4, F2))
+                       for i in pts)
 
 
 def test_extend_flat():
-    pts = enumerate_points(3, F2)
-    by_vec = {p.vec: p for p in pts}
     empty = Flat(basis=(), n=3, field=F2)
-    p = by_vec[(1, 0, 0)]
-    F1 = extend_flat(empty, p)
+    F1 = extend_flat(empty, (1, 0, 0))
     assert F1.rank == 1
-    F2_ = extend_flat(F1, by_vec[(0, 1, 0)])
+    F2_ = extend_flat(F1, (0, 1, 0))
     assert F2_.rank == 2
-    assert flat_contains_point(F2_, by_vec[(1, 1, 0)])
+    assert flat_contains_point(F2_, (1, 1, 0))
     with pytest.raises(PointInFlat):
-        extend_flat(F2_, by_vec[(1, 1, 0)])
+        extend_flat(F2_, (1, 1, 0))
     # a line of the Fano plane plus an off-line point spans everything
-    off = next(pt for pt in pts if not flat_contains_point(F2_, pt))
+    off = next(v for v in iter_canonical_vectors(3, F2)
+               if not flat_contains_point(F2_, v))
     assert extend_flat(F2_, off).rank == 3
 
 
@@ -147,6 +148,16 @@ def test_pg_size_values():
     assert pg_size(3, F2) == 7
     assert pg_size(4, F2) == 15
     assert pg_size(2, F3) == 4
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (3, 3)])
+def test_intersection_matches_point_set_oracle(n, q):
+    f = field_make(q)
+    flats = [(F, flat_points(F)) for k in range(n + 1)
+             for F in enumerate_flats(n, f, k)]
+    for A, a_pts in flats:
+        for B, b_pts in flats:
+            assert flat_points(flat_intersect(A, B)) == a_pts & b_pts
 
 
 def test_modular_rank_bound_exhaustive_pg32():
