@@ -10,6 +10,10 @@ guest point as soon as the prefix of basis images determines it.  Host
 candidates are tried in index order, so the returned witness is
 deterministic.
 
+The search does no elimination: independence is membership in the set
+of host points spanned so far, and a dict over every nonzero multiple of
+every host vector maps each guest image to its host index (see find).
+
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
 """
@@ -17,6 +21,7 @@ span(H), so verify_witness can check it without re-running any search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import FieldMismatch
 from .projective import combine, point_index, point_vec, rref
@@ -51,18 +56,15 @@ class EmbedSearcher:
         self.size = len(vecs)
 
         basis_rows = []
-        basis_positions = []
-        for pos, v in enumerate(vecs):
+        for v in vecs:
             cand, _ = rref(basis_rows + [v], H.ambient, f)
             if len(cand) > len(basis_rows):
                 basis_rows.append(v)
-                basis_positions.append(pos)
         self.m = len(basis_rows)
 
         # R = T @ B with R the canonical span basis; coords of v in B are
         # (v at pivots) @ T because R is reduced echelon.
-        R, pivots, T = rref(basis_rows, H.ambient, f, transform=True)
-        self.span_pivots = pivots
+        _, pivots, T = rref(basis_rows, H.ambient, f, transform=True)
         self.basis_to_rref = T
         coords = []
         for v in vecs:
@@ -77,7 +79,6 @@ class EmbedSearcher:
             lvl = max(i for i in range(self.m) if a[i]) + 1
             levels[lvl].append(j)
         self.levels = levels
-        self.basis_positions = basis_positions
 
     def find(self, host_indices, host_ambient, anchor=None):
         """Search for an embedding into the given host point set.
@@ -85,6 +86,14 @@ class EmbedSearcher:
         host_indices: set of point indices into PG(host_ambient - 1, q).
         anchor: if given, only embeddings whose image uses that host point
         are accepted.  Returns an EmbeddingWitness or None.
+
+        A candidate w_i is independent of w_0..w_(i-1) exactly when its
+        index is not among the host points of their span; that set grows
+        once per descent.  On entry to level i each guest point checked
+        there gets its prefix image sum_(k<i) a_k * lambda_k * w_k, so a
+        (w_i, lambda_i) pair costs one row update per point plus one dict
+        lookup, which yields the host index or shows the image is not in
+        the host.
         """
         f = self.f
         m = self.m
@@ -92,63 +101,81 @@ class EmbedSearcher:
             return EmbeddingWitness(map=(), point_map=())
         if self.size > len(host_indices) or m > host_ambient:
             return None
-        host_sorted = sorted(host_indices)
-        host_vecs = [point_vec(i, host_ambient, f) for i in host_sorted]
-        host_set = frozenset(host_indices)
-        nonzero = range(1, f.q)
+        add, mul = f.add_table, f.mul_table
+        scalars = range(f.q)
+        nonzero = scalars[1:]
+        # per host point: its index and its multiples c * w for every c
+        host = []
+        lookup = {}
+        for hi in sorted(host_indices):
+            w = point_vec(hi, host_ambient, f)
+            multiples = [tuple(map(mul[c].__getitem__, w)) for c in scalars]
+            host.append((hi, multiples))
+            for c in nonzero:
+                lookup[multiples[c]] = hi
 
+        coords, levels = self.coords, self.levels
         scaled = [None] * m            # lambda_i * w_i
         images = [None] * self.size    # host point index per guest point
-        indep_rows = []                # incremental RREF of chosen w_i
 
-        def assign_level(i):
-            # Map every guest point that is now determined; None on failure.
-            placed = []
-            for j in self.levels[i + 1]:
-                img = combine(self.coords[j], scaled[:i + 1], f)
-                idx = point_index(img, host_ambient, f)
-                if idx not in host_set:
-                    for jj in placed:
-                        images[jj] = None
-                    return False
-                images[j] = idx
-                placed.append(j)
-            return placed
-
-        def undo(placed):
-            for j in placed:
-                images[j] = None
-
-        def backtrack(i):
-            nonlocal indep_rows
-            if i == m:
-                if anchor is not None and anchor not in images:
-                    return None
-                return self._witness(scaled, images, host_ambient)
-            for hi, w in zip(host_sorted, host_vecs):
-                cand, _ = rref(indep_rows + [w], host_ambient, f)
-                if len(cand) <= len(indep_rows):
+        def backtrack(i, span_vecs, spanned):
+            # span_vecs: every vector of span(w_0..w_(i-1)); spanned: the
+            # host points among them.
+            checks = []
+            for j in levels[i + 1]:
+                a = coords[j]
+                pre = [0] * host_ambient
+                for k in range(i):
+                    if a[k]:
+                        row = mul[a[k]]
+                        pre = [add[x][row[y]] for x, y in zip(pre, scaled[k])]
+                # add-table rows of pre_j, and a_ji times each scalar
+                checks.append((j, mul[a[i]], [add[x] for x in pre]))
+            for hi, multiples in host:
+                if hi in spanned:
                     continue
-                saved = indep_rows
-                indep_rows = list(cand)
+                grown = None
                 for lam in (1,) if i == 0 else nonzero:
-                    scaled[i] = w if lam == 1 else tuple(f.mul(lam, x) for x in w)
-                    placed = assign_level(i)
-                    if placed is False:
-                        continue
-                    hit = backtrack(i + 1)
-                    if hit is not None:
-                        return hit
-                    undo(placed)
-                scaled[i] = None
-                indep_rows = saved
+                    for j, a_row, pre_rows in checks:
+                        # pre_j + a_ji * lam * w, then its host index
+                        idx = lookup.get(tuple(map(getitem, pre_rows,
+                                                   multiples[a_row[lam]])))
+                        if idx is None:
+                            break
+                        images[j] = idx
+                    else:
+                        scaled[i] = multiples[lam]
+                        if i + 1 < m:
+                            if grown is None:
+                                grown = _extend_span(span_vecs, spanned,
+                                                     multiples, add, lookup)
+                            hit = backtrack(i + 1, *grown)
+                        elif anchor is None or anchor in images:
+                            hit = self._witness(scaled, images)
+                        else:
+                            hit = None
+                        if hit is not None:
+                            return hit
             return None
 
-        return backtrack(0)
+        return backtrack(0, [(0,) * host_ambient], frozenset())
 
-    def _witness(self, scaled, images, host_ambient):
+    def _witness(self, scaled, images):
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
         return EmbeddingWitness(map=tuple(rows), point_map=tuple(images))
+
+
+def _extend_span(span_vecs, spanned, multiples, add, lookup):
+    """The vectors and host points of span(span_vecs, w).
+
+    multiples[c] is c * w.  The new points are v + w for v in the old
+    span; the new vectors are v + c * w for every scalar c.
+    """
+    rows = [[add[x] for x in v] for v in span_vecs]
+    new_points = {lookup.get(tuple(map(getitem, r, multiples[1]))) for r in rows}
+    new_points.discard(None)
+    vecs = [tuple(map(getitem, r, cw)) for cw in multiples for r in rows]
+    return vecs, spanned | new_points
 
 
 def contains(G, H, anchor=None):

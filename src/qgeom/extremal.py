@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .embed import EmbedSearcher, contains
-from .errors import FieldMismatch
+from .errors import EmptyGeometry, FieldMismatch
 from .geometry import Geometry, critical_exponent, g_size
 from .projective import (
     iter_flats,
@@ -88,10 +88,13 @@ def ex_exact(H, n, budget=None):
     """Largest H-free point set in PG(n-1, q), with a witness.
 
     Exact unless the budget runs out, in which case the best set found so
-    far is reported with status "lower-bound".
+    far is reported with status "lower-bound".  The empty geometry is
+    contained in every set, so no H-free set exists for it.
     """
     if n < 1:
         raise ValueError("ex_exact needs n >= 1")
+    if not H.points:
+        raise EmptyGeometry("ex_exact of the empty geometry")
     f = H.field
     budget = budget or Budget()
     searcher = EmbedSearcher(H)
@@ -126,7 +129,8 @@ def ex_exact(H, n, budget=None):
 
     dfs(0)
     witness = Geometry(field=f, ambient=n, points=tuple(best))
-    assert is_free(witness, H), "witness failed independent re-validation"
+    if not is_free(witness, H):
+        raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,
                           status="lower-bound" if exhausted else "exact",
                           nodes=nodes)

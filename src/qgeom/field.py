@@ -122,6 +122,8 @@ class FieldSpec:
 
     The tables are derived from (p, k, modulus) and excluded from
     equality/hashing; field_make caches one instance per q anyway.
+    add_table[a][b] and mul_table[a][b] are a + b and a * b; inner loops
+    index these rows directly instead of calling add and mul.
     """
 
     p: int
@@ -172,24 +174,24 @@ class FieldSpec:
         for a in range(1, q):
             inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
 
-        object.__setattr__(self, "_add", add)
-        object.__setattr__(self, "_mul", mul)
+        object.__setattr__(self, "add_table", add)
+        object.__setattr__(self, "mul_table", mul)
         object.__setattr__(self, "_neg", neg)
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_exp", tuple(exp))
         object.__setattr__(self, "_log", tuple(log))
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self._neg[b]]
+        return self.add_table[a][self._neg[b]]
 
     def neg(self, a):
         return self._neg[a]
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def inv(self, a):
         if a == 0:

@@ -141,18 +141,31 @@ def geometry_to_json(H):
     }
 
 
+def _json_int(value, what):
+    # bool is an int subclass, but JSON true/false is not a number
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
 def geometry_from_json(obj):
     """Parse and validate the geometry JSON schema.
 
-    Coordinates are re-canonicalized; duplicate points (after
-    canonicalization) are rejected.
+    Every number must be a JSON integer.  Coordinates are
+    re-canonicalized; duplicate points (after canonicalization) are
+    rejected.
     """
-    f = field_make(int(obj["q"]))
-    if f.p != int(obj["p"]) or f.k != int(obj["k"]):
+    if not isinstance(obj, dict):
+        raise ValueError("a geometry must be a JSON object")
+    f = field_make(_json_int(obj["q"], "q"))
+    if f.p != _json_int(obj["p"], "p") or f.k != _json_int(obj["k"], "k"):
         raise ValueError("field header (p, k) inconsistent with q")
-    if tuple(int(x) for x in obj.get("modulus", [])) != f.modulus:
+    modulus = obj.get("modulus", [])
+    if not isinstance(modulus, list) or \
+            tuple(_json_int(x, "modulus coefficient") for x in modulus) \
+            != f.modulus:
         raise ValueError("modulus differs from the frozen table entry")
-    n = int(obj["ambient"])
+    n = _json_int(obj["ambient"], "ambient")
     if n < 1:
         raise ValueError("ambient rank must be at least 1")
     points = obj["points"]
@@ -161,7 +174,7 @@ def geometry_from_json(obj):
         raise ValueError("points must be a list of coordinate lists")
     indices = []
     for coords in points:
-        v = tuple(int(x) for x in coords)
+        v = tuple(_json_int(x, "coordinate") for x in coords)
         if len(v) != n:
             raise ValueError("point coordinate list has wrong length")
         if not all(0 <= x < f.q for x in v):

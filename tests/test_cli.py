@@ -66,10 +66,22 @@ def test_invalid_input_exits_2(tmp_path):
     scalar = tmp_path / "scalar.json"
     scalar.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], '
                       '"ambient": 3, "points": 5}')
+    top_list = tmp_path / "top_list.json"
+    top_list.write_text('[{"q": 2, "p": 2, "k": 1, "modulus": [], '
+                        '"ambient": 2, "points": [[1, 0]]}]')
+    list_coord = tmp_path / "list_coord.json"
+    list_coord.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], '
+                          '"ambient": 2, "points": [[[1], 0]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], '
+                     '"ambient": 2, "points": []}')
     for argv in (["make", "g", "-m", "3", "-q", "2", "-c", "7"],
                  ["extremal", str(line), "-n", "0"],
                  ["sparse-flat", str(fano), "-m", "5", "-c", "1"],
-                 ["critical", str(scalar)]):
+                 ["critical", str(scalar)],
+                 ["critical", str(top_list)],
+                 ["critical", str(list_coord)],
+                 ["extremal", str(empty), "-n", "2"]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert "error" in json.loads(r.stderr), argv

@@ -1,4 +1,6 @@
-from itertools import combinations
+import random
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
@@ -10,14 +12,20 @@ from qgeom import (
     enumerate_flats,
     field_make,
     flat_points,
+    geometry_rank,
     make_ag,
     make_g,
     make_pg,
+    pg_size,
     verify_witness,
 )
+from qgeom.geometry import span_coordinates
+from qgeom.projective import point_index
 
 F2 = field_make(2)
 F3 = field_make(3)
+F4 = field_make(4)
+F9 = field_make(9)
 
 
 def test_line_in_fano():
@@ -161,32 +169,123 @@ def test_subset_equivalence_oracle_on_tiny_cases():
 
 
 def _brute_equivalent_subset(host, guest):
-    # independent oracle: enumerate every m x n matrix over the field,
-    # keep the full-rank ones, and test whether one maps all guest span
-    # coordinates onto host points
-    from itertools import product
-
-    from qgeom.geometry import span_coordinates
-    from qgeom.projective import canonical_vec, point_index, rref
-
-    f = host.field
-    n = host.ambient
-    m, _, coords = span_coordinates(guest)
     host_set = host.point_set
-    for flat_entries in product(range(f.q), repeat=m * n):
-        M = [flat_entries[i * n:(i + 1) * n] for i in range(m)]
-        basis, _ = rref(M, n, f)
-        if len(basis) != m:
-            continue
-        ok = True
+    return any(img <= host_set for img in _image_sets(guest, host.ambient))
+
+
+def _full_rank_matrices(m, n, f):
+    # every m x n matrix of rank m, up to a nonzero scalar factor (which
+    # maps points alike): the first row runs over canonical vectors, and
+    # each later row over the vectors outside the span of the rows above
+    rows = list(product(range(f.q), repeat=n))
+    first_rows = [r for r in rows if any(r) and r[next(
+        k for k, x in enumerate(r) if x)] == 1]
+
+    def extend(M, spanned):
+        for r in first_rows if not M else rows:
+            if r in spanned:
+                continue
+            if len(M) + 1 == m:
+                yield M + [r]
+                continue
+            grown = {tuple(f.add(x, f.mul(c, y)) for x, y in zip(s, r))
+                     for s in spanned for c in range(f.q)}
+            yield from extend(M + [r], grown)
+
+    yield from extend([], {(0,) * n})
+
+
+@lru_cache(maxsize=None)
+def _image_sets(guest, n):
+    # independent oracle: the host point sets onto which some full-rank
+    # matrix maps the guest span coordinates
+    f = guest.field
+    add, mul = f.add_table, f.mul_table
+    m, _, coords = span_coordinates(guest)
+    images = set()
+    for M in _full_rank_matrices(m, n, f):
+        img = []
         for a in coords:
-            img = [0] * n
+            v = [0] * n
             for ai, row in zip(a, M):
                 if ai:
-                    img = [f.add(x, f.mul(ai, y)) for x, y in zip(img, row)]
-            if point_index(canonical_vec(tuple(img), f), n, f) not in host_set:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+                    v = [add[x][mul[ai][y]] for x, y in zip(v, row)]
+            img.append(point_index(v, n, f))
+        images.add(frozenset(img))
+    return images
+
+
+def _random_spanning_guest(f, m, rng):
+    # m + 2 to m + 6 random points of PG(m-1, q) that span it; past m + 1
+    # points the guest fixes cross-ratios, so the scalars matter.  Point 0,
+    # (0, ..., 0, 1), is left out: as the first basis point it would give
+    # every point of the top level the same last coordinate.
+    total = pg_size(m, f)
+    while True:
+        size = rng.randrange(min(m + 2, total - 1), min(m + 6, total - 1) + 1)
+        pts = rng.sample(range(1, total), size)
+        H = Geometry(field=f, ambient=m, points=tuple(pts))
+        if geometry_rank(H) == m:
+            return H
+
+
+# (q, host ambient, guest ranks).  PG(3,9) is left out: a rank-2 guest
+# alone has 5.4 M maps into it, too many for the oracle.
+ORACLE_CASES = [(2, 3, (2, 3)), (2, 4, (2, 3)), (3, 3, (2, 3)), (3, 4, (2,)),
+                (4, 3, (2,)), (4, 4, (2,)), (9, 3, (2,))]
+
+
+@pytest.mark.parametrize("q, n, ranks", ORACLE_CASES)
+def test_find_matches_full_rank_map_oracle(q, n, ranks):
+    f = field_make(q)
+    rng = random.Random(1000 * q + n)
+    total = pg_size(n, f)
+    seen = set()
+    for m in ranks:
+        for _ in range(2 if q == 9 else 6):
+            guest = _random_spanning_guest(f, m, rng)
+            for _ in range(15):
+                keep = rng.uniform(0.02, 0.5)
+                host = Geometry(field=f, ambient=n, points=tuple(
+                    i for i in range(total) if rng.random() < keep))
+                w = contains(host, guest)
+                assert (w is not None) == _brute_equivalent_subset(
+                    host, guest), (host.points, guest.points)
+                if w is not None:
+                    assert verify_witness(host, guest, w)
+                seen.add(w is not None)
+    assert seen == {True, False}
+
+
+# Witnesses of the search as it tries host points in index order and
+# scalars in increasing code order; a change in that order changes them.
+GOLDEN_WITNESSES = [
+    (make_pg(4, F4), make_g(3, F4, 2),
+     ((0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
+     (0, 1, 2, 3, 4, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17, 20, 19)),
+    (make_pg(4, F3), make_ag(3, F3),
+     ((0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 1)),
+     (0, 1, 2, 4, 5, 9, 7, 11, 12)),
+    (make_pg(3, F9), make_ag(2, F9),
+     ((0, 1, 2), (0, 0, 1)),
+     (0, 1, 2, 6, 4, 5, 9, 7, 8)),
+    (Geometry(field=F4, ambient=3, points=tuple(range(1, 21, 2))),
+     make_ag(2, F4),
+     ((1, 1, 0), (0, 1, 0)),
+     (1, 5, 17, 13)),
+    (Geometry(field=F3, ambient=4, points=tuple(range(5, 40, 3))),
+     make_ag(2, F3),
+     ((0, 0, 1, 0), (0, 1, 0, 1)),
+     (5, 8, 11)),
+    (Geometry(field=F9, ambient=3, points=tuple(range(7, 91, 2))),
+     Geometry(field=F9, ambient=2, points=(1, 3, 4, 8)),
+     ((0, 1, 6), (2, 1, 8)),
+     (7, 11, 69, 55)),
+]
+
+
+@pytest.mark.parametrize("host, guest, matrix, point_map", GOLDEN_WITNESSES)
+def test_witness_is_pinned(host, guest, matrix, point_map):
+    w = contains(host, guest)
+    assert w == EmbeddingWitness(map=matrix, point_map=point_map)
+    assert verify_witness(host, guest, w)

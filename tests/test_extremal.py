@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from conftest import brute_force_ex
 
+import qgeom.extremal
 from qgeom import (
     Budget,
+    EmptyGeometry,
     FieldMismatch,
     Geometry,
     bose_burton_value,
@@ -108,6 +110,19 @@ def test_argument_checks_raise_value_error():
         find_sparse_flat(make_pg(3, F2), 5, 1)
     with pytest.raises(ValueError):
         find_sparse_flat(make_pg(3, F2), 2, 2)
+
+
+def test_ex_exact_rejects_empty_forbidden_geometry():
+    # the empty geometry lies in every set, so no set is free of it
+    with pytest.raises(EmptyGeometry):
+        ex_exact(Geometry(field=F2, ambient=2, points=()), 2)
+
+
+def test_ex_exact_witness_check_raises_without_assert(monkeypatch):
+    # an explicit check, not an assert statement: it also fires under -O
+    monkeypatch.setattr(qgeom.extremal, "is_free", lambda S, H: False)
+    with pytest.raises(AssertionError, match="re-validation"):
+        ex_exact(make_pg(2, F2), 2)
 
 
 def test_find_sparse_flat_examples():

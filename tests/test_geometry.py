@@ -166,6 +166,28 @@ def test_json_rejects_points_not_a_list_of_lists(points):
         geometry_from_json(obj)
 
 
+@pytest.mark.parametrize("coord", [[1], "1", 1.0, True, None])
+def test_json_rejects_non_integer_coordinates(coord):
+    obj = geometry_to_json(make_pg(2, F2))
+    obj["points"] = [[coord, 0]]
+    with pytest.raises(ValueError):
+        geometry_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["q", "p", "k", "ambient"])
+def test_json_rejects_non_integer_header(key):
+    obj = geometry_to_json(make_pg(2, F2))
+    obj[key] = [obj[key]]
+    with pytest.raises(ValueError):
+        geometry_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [[], [1, 2], "pg", 3])
+def test_json_rejects_non_object(obj):
+    with pytest.raises(ValueError):
+        geometry_from_json(obj)
+
+
 def test_json_rejects_foreign_modulus():
     obj = geometry_to_json(make_pg(2, field_make(4)))
     obj["modulus"] = [1, 0, 1]
