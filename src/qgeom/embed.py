@@ -10,9 +10,10 @@ guest point as soon as the prefix of basis images determines it.  Host
 candidates are tried in index order, so the returned witness is
 deterministic.
 
-The search does no elimination: independence is membership in the set
-of host points spanned so far, and a dict over every nonzero multiple of
-every host vector maps each guest image to its host index (see find).
+The search calls no rref: a candidate is reduced against the echelon rows
+of the basis images chosen so far to test independence, and a dict from
+each host point's canonical vector to its index places each guest image
+(see find).
 
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
@@ -80,6 +81,17 @@ class EmbedSearcher:
             levels[lvl].append(j)
         self.levels = levels
 
+        # Tables for find over GF(q).  shift[c][x][y] = x + c * y, one row
+        # per (c, x), so an affine update of a whole vector is a single map
+        # over its entries; drop[c] is shift[-c].  unit[c] scales a vector
+        # with leading entry c to leading 1, and the zero vector to itself.
+        add, mul = f.add_table, f.mul_table
+        scalars = range(f.q)
+        self.shift = [[[add[x][y] for y in row] for x in scalars]
+                      for row in mul]
+        self.drop = [self.shift[f.neg(c)] for c in scalars]
+        self.unit = [mul[0]] + [mul[f.inv(c)] for c in scalars[1:]]
+
     def find(self, host_indices, host_ambient, anchor=None):
         """Search for an embedding into the given host point set.
 
@@ -87,13 +99,17 @@ class EmbedSearcher:
         anchor: if given, only embeddings whose image uses that host point
         are accepted.  Returns an EmbeddingWitness or None.
 
-        A candidate w_i is independent of w_0..w_(i-1) exactly when its
-        index is not among the host points of their span; that set grows
-        once per descent.  On entry to level i each guest point checked
-        there gets its prefix image sum_(k<i) a_k * lambda_k * w_k, so a
-        (w_i, lambda_i) pair costs one row update per point plus one dict
-        lookup, which yields the host index or shows the image is not in
-        the host.
+        On entry to level i each guest point checked there gets its prefix
+        image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
+        of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
+        (w_i, lambda_i) pair costs one table lookup per coordinate.  The
+        image, scaled to its leading 1, is looked up in a dict from the
+        canonical vector of each host point to its index.  A candidate that
+        passes every check is then reduced against the echelon rows of
+        w_0..w_(i-1): it is independent of them exactly when a nonzero
+        remainder is left, and that remainder becomes echelon row i.  Work
+        and memory grow with the host and the ambient rank, never with
+        q^rank.
         """
         f = self.f
         m = self.m
@@ -101,55 +117,58 @@ class EmbedSearcher:
             return EmbeddingWitness(map=(), point_map=())
         if self.size > len(host_indices) or m > host_ambient:
             return None
-        add, mul = f.add_table, f.mul_table
-        scalars = range(f.q)
-        nonzero = scalars[1:]
-        # per host point: its index and its multiples c * w for every c
-        host = []
-        lookup = {}
-        for hi in sorted(host_indices):
-            w = point_vec(hi, host_ambient, f)
-            multiples = [tuple(map(mul[c].__getitem__, w)) for c in scalars]
-            host.append((hi, multiples))
-            for c in nonzero:
-                lookup[multiples[c]] = hi
+        mul, shift, drop, unit = f.mul_table, self.shift, self.drop, self.unit
+        nonzero = range(1, f.q)
+        # canonical vector -> index, in index order: the candidate order
+        host = {point_vec(hi, host_ambient, f): hi
+                for hi in sorted(host_indices)}
 
         coords, levels = self.coords, self.levels
         scaled = [None] * m            # lambda_i * w_i
         images = [None] * self.size    # host point index per guest point
+        echelon = [None] * m           # (pivot, row) with row[pivot] == 1
 
-        def backtrack(i, span_vecs, spanned):
-            # span_vecs: every vector of span(w_0..w_(i-1)); spanned: the
-            # host points among them.
+        def backtrack(i):
             checks = []
             for j in levels[i + 1]:
                 a = coords[j]
                 pre = [0] * host_ambient
                 for k in range(i):
                     if a[k]:
-                        row = mul[a[k]]
-                        pre = [add[x][row[y]] for x, y in zip(pre, scaled[k])]
-                # add-table rows of pre_j, and a_ji times each scalar
-                checks.append((j, mul[a[i]], [add[x] for x in pre]))
-            for hi, multiples in host:
-                if hi in spanned:
-                    continue
-                grown = None
+                        step = shift[a[k]]
+                        pre = [step[x][y] for x, y in zip(pre, scaled[k])]
+                # rows[lam][t] maps x to pre_t + a_i * lam * x
+                checks.append((j, [[shift[c][x] for x in pre]
+                                   for c in mul[a[i]]]))
+            for w, hi in host.items():
+                r = None
                 for lam in (1,) if i == 0 else nonzero:
-                    for j, a_row, pre_rows in checks:
-                        # pre_j + a_ji * lam * w, then its host index
-                        idx = lookup.get(tuple(map(getitem, pre_rows,
-                                                   multiples[a_row[lam]])))
+                    for j, rows in checks:
+                        # a w in the span can give the zero vector; unit[0]
+                        # keeps it zero and no host point matches it
+                        img = tuple(map(getitem, rows[lam], w))
+                        lead = next(filter(None, img), 0)
+                        if lead != 1:
+                            img = tuple(map(unit[lead].__getitem__, img))
+                        idx = host.get(img)
                         if idx is None:
                             break
                         images[j] = idx
                     else:
-                        scaled[i] = multiples[lam]
+                        if r is None:
+                            r = w
+                            for p, row in echelon[:i]:
+                                if r[p]:
+                                    r = tuple(map(getitem, map(
+                                        drop[r[p]].__getitem__, r), row))
+                            lead = next(filter(None, r), 0)
+                            if not lead:
+                                break  # w is in span(w_0..w_(i-1))
+                            echelon[i] = (r.index(lead), tuple(
+                                map(unit[lead].__getitem__, r)))
+                        scaled[i] = tuple(map(mul[lam].__getitem__, w))
                         if i + 1 < m:
-                            if grown is None:
-                                grown = _extend_span(span_vecs, spanned,
-                                                     multiples, add, lookup)
-                            hit = backtrack(i + 1, *grown)
+                            hit = backtrack(i + 1)
                         elif anchor is None or anchor in images:
                             hit = self._witness(scaled, images)
                         else:
@@ -158,24 +177,11 @@ class EmbedSearcher:
                             return hit
             return None
 
-        return backtrack(0, [(0,) * host_ambient], frozenset())
+        return backtrack(0)
 
     def _witness(self, scaled, images):
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
         return EmbeddingWitness(map=tuple(rows), point_map=tuple(images))
-
-
-def _extend_span(span_vecs, spanned, multiples, add, lookup):
-    """The vectors and host points of span(span_vecs, w).
-
-    multiples[c] is c * w.  The new points are v + w for v in the old
-    span; the new vectors are v + c * w for every scalar c.
-    """
-    rows = [[add[x] for x in v] for v in span_vecs]
-    new_points = {lookup.get(tuple(map(getitem, r, multiples[1]))) for r in rows}
-    new_points.discard(None)
-    vecs = [tuple(map(getitem, r, cw)) for cw in multiples for r in rows]
-    return vecs, spanned | new_points
 
 
 def contains(G, H, anchor=None):

@@ -1,4 +1,7 @@
 import random
+import resource
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -20,7 +23,7 @@ from qgeom import (
     verify_witness,
 )
 from qgeom.geometry import span_coordinates
-from qgeom.projective import point_index
+from qgeom.projective import canonical_vec, point_index, rref
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -176,23 +179,20 @@ def _brute_equivalent_subset(host, guest):
 def _full_rank_matrices(m, n, f):
     # every m x n matrix of rank m, up to a nonzero scalar factor (which
     # maps points alike): the first row runs over canonical vectors, and
-    # each later row over the vectors outside the span of the rows above
+    # each later row over the vectors that raise the rank under rref
     rows = list(product(range(f.q), repeat=n))
-    first_rows = [r for r in rows if any(r) and r[next(
-        k for k, x in enumerate(r) if x)] == 1]
+    first_rows = [r for r in rows if any(r) and canonical_vec(r, f) == r]
 
-    def extend(M, spanned):
+    def extend(M):
         for r in first_rows if not M else rows:
-            if r in spanned:
+            if len(rref(M + [r], n, f)[0]) == len(M):
                 continue
             if len(M) + 1 == m:
                 yield M + [r]
-                continue
-            grown = {tuple(f.add(x, f.mul(c, y)) for x, y in zip(s, r))
-                     for s in spanned for c in range(f.q)}
-            yield from extend(M + [r], grown)
+            else:
+                yield from extend(M + [r])
 
-    yield from extend([], {(0,) * n})
+    yield from extend([])
 
 
 @lru_cache(maxsize=None)
@@ -289,3 +289,36 @@ def test_witness_is_pinned(host, guest, matrix, point_map):
     w = contains(host, guest)
     assert w == EmbeddingWitness(map=matrix, point_map=point_map)
     assert verify_witness(host, guest, w)
+
+
+# e_0..e_(n-1) and every e_0 + e_k of PG(n-1, q), searched for inside
+# itself in a child process capped at 512 MB.  The guest's span holds q^n
+# vectors (16^7 or 2^25), so a search whose work or memory grows with the
+# span of the chosen images cannot finish within these limits.
+HIGH_RANK_SELF_CONTAINMENT = """
+import sys
+from qgeom import Geometry, contains, field_make, verify_witness
+from qgeom.projective import point_index
+n, q = int(sys.argv[1]), int(sys.argv[2])
+f = field_make(q)
+vecs = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+vecs += [tuple(int(i in (0, k)) for i in range(n)) for k in range(1, n)]
+X = Geometry(field=f, ambient=n,
+             points=tuple(sorted({point_index(v, n, f) for v in vecs})))
+w = contains(X, X)
+print(w is not None and verify_witness(X, X, w))
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("n, q", [(7, 16), (25, 2)])
+def test_high_rank_guest_search_is_bounded_by_input(n, q):
+    r = subprocess.run(
+        [sys.executable, "-c", HIGH_RANK_SELF_CONTAINMENT, str(n), str(q)],
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=_cap_address_space)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "True"
