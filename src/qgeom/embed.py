@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .errors import FieldMismatch
+from .geometry import span_coordinates
 from .projective import combine, point_index, point_vec, rref
 
 
@@ -50,7 +51,6 @@ class EmbedSearcher:
     """
 
     def __init__(self, H):
-        self.guest = H
         self.f = H.field
         f = self.f
         vecs = H.point_vecs()
@@ -92,12 +92,11 @@ class EmbedSearcher:
         self.drop = [self.shift[f.neg(c)] for c in scalars]
         self.unit = [mul[0]] + [mul[f.inv(c)] for c in scalars[1:]]
 
-    def find(self, host_indices, host_ambient, anchor=None):
+    def find(self, host_indices, host_ambient):
         """Search for an embedding into the given host point set.
 
         host_indices: set of point indices into PG(host_ambient - 1, q).
-        anchor: if given, only embeddings whose image uses that host point
-        are accepted.  Returns an EmbeddingWitness or None.
+        Returns the first EmbeddingWitness in candidate order, or None.
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
@@ -169,10 +168,8 @@ class EmbedSearcher:
                         scaled[i] = tuple(map(mul[lam].__getitem__, w))
                         if i + 1 < m:
                             hit = backtrack(i + 1)
-                        elif anchor is None or anchor in images:
-                            hit = self._witness(scaled, images)
                         else:
-                            hit = None
+                            hit = self._witness(scaled, images)
                         if hit is not None:
                             return hit
             return None
@@ -184,14 +181,15 @@ class EmbedSearcher:
         return EmbeddingWitness(map=tuple(rows), point_map=tuple(images))
 
 
-def contains(G, H, anchor=None):
+def contains(G, H):
     """Witness that H is a restriction of G, or None if it is not.
 
-    Deterministic: hosts points are tried in index order.
+    Deterministic: host points are tried in index order, so the witness
+    is the first embedding in that order.
     """
     if G.field != H.field:
         raise FieldMismatch("host and guest live over different fields")
-    return EmbedSearcher(H).find(G.point_set, G.ambient, anchor=anchor)
+    return EmbedSearcher(H).find(G.point_set, G.ambient)
 
 
 def verify_witness(G, H, w):
@@ -202,10 +200,8 @@ def verify_witness(G, H, w):
     point belongs to G.
     """
     f = H.field
-    vecs = H.point_vecs()
-    basis, pivots = rref(vecs, H.ambient, f)
-    m = len(basis)
-    if len(w.map) != m or len(w.point_map) != len(vecs):
+    m, _, coords = span_coordinates(H)
+    if len(w.map) != m or len(w.point_map) != len(coords):
         return False
     if m == 0:
         return True
@@ -216,8 +212,8 @@ def verify_witness(G, H, w):
     if len(reduced) != m:
         return False
     host_points = G.point_set
-    for v, claimed in zip(vecs, w.point_map):
-        img = combine([v[c] for c in pivots], w.map, f)
+    for a, claimed in zip(coords, w.point_map):
+        img = combine(a, w.map, f)
         if not any(img):
             return False
         idx = point_index(img, n, f)

@@ -2,11 +2,18 @@
 
 ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
-|current set| + points still undecided; freeness when including point p is
-checked by an anchored embedding search (only embeddings whose image uses
-p can newly appear, because the set was H-free before).  The only symmetry
-breaking is cheap and sound: the lowest-index included point must be the
-minimum-index point of its orbit under coordinate permutations.
+|current set| + points still undecided.  The current set is H-free by
+invariant, so including point p is checked by one embedding search into
+the set plus p, and any embedding found must use p.
+
+ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
+2-transitive on the points of PG(n-1, q): every H-free set of two or more
+points has an image that contains points 0 and 1.  So the search takes
+the exclude branch only once the current set holds two points.  If the
+include of point 0 or point 1 fails, H has at most two points and ex is
+0 or 1.  The witness is the one the full search would return: it is found
+in the include-0, include-1 subtree, which both searches visit first, and
+the incumbent is only ever replaced by a strictly larger set.
 
 Budgets are mandatory with defaults; running out degrades the result
 status to "lower-bound" instead of failing.
@@ -17,8 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 
 from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry, FieldMismatch
@@ -27,7 +32,6 @@ from .projective import (
     iter_flats,
     flat_points,
     pg_size,
-    point_index,
     point_vec,
     span,
 )
@@ -64,26 +68,6 @@ def is_free(S, H):
     return contains(S, H) is None
 
 
-@lru_cache(maxsize=None)
-def _orbit_minimal(n, f):
-    """Point indices that are minimal in their coordinate-permutation orbit.
-
-    Above rank 7 the n! permutations cost too much, so every point counts
-    as minimal; the range stands in for that set without building it.
-    """
-    total = pg_size(n, f)
-    if n > 7:
-        return range(total)
-    minimal = set()
-    for i in range(total):
-        v = point_vec(i, n, f)
-        best = min(point_index(tuple(v[j] for j in perm), n, f)
-                   for perm in permutations(range(n)))
-        if best == i:
-            minimal.add(i)
-    return frozenset(minimal)
-
-
 def ex_exact(H, n, budget=None):
     """Largest H-free point set in PG(n-1, q), with a witness.
 
@@ -99,7 +83,6 @@ def ex_exact(H, n, budget=None):
     budget = budget or Budget()
     searcher = EmbedSearcher(H)
     total = pg_size(n, f)
-    first_ok = _orbit_minimal(n, f)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []
@@ -118,14 +101,12 @@ def ex_exact(H, n, budget=None):
             best = list(chosen)
         if i == total or len(chosen) + (total - i) <= len(best):
             return
-        allowed = chosen or i in first_ok
-        if allowed and searcher.find(frozenset(chosen) | {i}, n, anchor=i):
-            pass  # including i would create an H-restriction
-        elif allowed:
+        if searcher.find(frozenset(chosen) | {i}, n) is None:
             chosen.append(i)
             dfs(i + 1)
             chosen.pop()
-        dfs(i + 1)
+        if len(chosen) > 1:  # below two points, 2-transitivity fixes them
+            dfs(i + 1)
 
     dfs(0)
     witness = Geometry(field=f, ambient=n, points=tuple(best))

@@ -53,6 +53,25 @@ class Geometry:
         return len(self.points)
 
 
+# make_pg, make_g and complement_geometry list every point of the space and
+# refuse a larger one instead of allocating; PG(6, 9), 597871 points, fits.
+MAX_LISTED_POINTS = 2 ** 20
+
+
+def _listable_size(m, f):
+    """pg_size(m, f), or ValueError above MAX_LISTED_POINTS points."""
+    total = pg_size(m, f)
+    if total > MAX_LISTED_POINTS:
+        raise ValueError("PG(%d, %d) has %d points, above the limit of %d"
+                         % (m - 1, f.q, total, MAX_LISTED_POINTS))
+    return total
+
+
+def _points_outside(m, f, inside):
+    """Indices of PG(m-1, q) not in the set inside, in increasing order."""
+    return tuple(i for i in range(_listable_size(m, f)) if i not in inside)
+
+
 def _standard_flat_points(m, f, r):
     """Indices of the points of the flat spanned by the first r basis vectors."""
     basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(r))
@@ -61,16 +80,16 @@ def _standard_flat_points(m, f, r):
 
 def make_pg(m, f):
     """PG(m-1, q): every point of the rank-m space."""
-    return Geometry(field=f, ambient=m, points=tuple(range(pg_size(m, f))))
+    return Geometry(field=f, ambient=m, points=_points_outside(m, f, ()))
 
 
 def make_g(m, f, c):
     """G(m-1, q, c): PG(m-1, q) minus the canonical rank-(m-c) flat."""
     if not 0 <= c <= m:
         raise ValueError("family g needs 0 <= c <= m")
+    _listable_size(m, f)  # the removed flat can be nearly as large
     removed = _standard_flat_points(m, f, m - c)
-    keep = tuple(i for i in range(pg_size(m, f)) if i not in removed)
-    return Geometry(field=f, ambient=m, points=keep)
+    return Geometry(field=f, ambient=m, points=_points_outside(m, f, removed))
 
 
 def make_ag(m, f):
@@ -123,9 +142,7 @@ def critical_exponent(H):
 
 def complement_geometry(H):
     """All points of the ambient PG not in H."""
-    inside = H.point_set
-    keep = tuple(i for i in range(pg_size(H.ambient, H.field))
-                 if i not in inside)
+    keep = _points_outside(H.ambient, H.field, H.point_set)
     return Geometry(field=H.field, ambient=H.ambient, points=keep)
 
 

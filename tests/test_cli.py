@@ -81,7 +81,8 @@ def test_invalid_input_exits_2(tmp_path):
                  ["critical", str(scalar)],
                  ["critical", str(top_list)],
                  ["critical", str(list_coord)],
-                 ["extremal", str(empty), "-n", "2"]):
+                 ["extremal", str(empty), "-n", "2"],
+                 ["make", "pg", "-m", "8", "-q", "16"]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert "error" in json.loads(r.stderr), argv

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,11 +25,25 @@ from qgeom import (
     make_ag,
     make_g,
     make_pg,
+    point_index,
 )
 from qgeom.extremal import density_rows_to_csv
 
 F2 = field_make(2)
 F3 = field_make(3)
+F4 = field_make(4)
+F5 = field_make(5)
+
+
+def _points(f, vecs):
+    n = len(vecs[0])
+    return Geometry(field=f, ambient=n,
+                    points=tuple(point_index(v, n, f) for v in vecs))
+
+
+# neither PG, AG nor G: three non-collinear points, and a frame of PG(2, 3)
+TRIANGLE = _points(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+FRAME = _points(F3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 
 
 def test_is_free_examples():
@@ -47,6 +62,40 @@ def test_ex_exact_examples():
     assert ex_exact(make_pg(2, F2), 3).value == 4
     assert ex_exact(make_ag(2, F3), 2).value == 2
     assert ex_exact(make_ag(2, F2), 2).value == 1
+    # a one-point H rules out point 0 and a two-point H rules out point 1;
+    # the search stops there, without trying sets that avoid those points
+    for n in (1, 2, 3):
+        one = ex_exact(_points(F3, [(1, 0)]), n)
+        assert (one.value, one.status, one.witness.points) == (0, "exact", ())
+        two = ex_exact(_points(F3, [(1, 0), (0, 1)]), n)
+        assert (two.value, two.status, two.witness.points) == \
+            (1, "exact", (0,))
+
+
+# ex(PG(1,2); 4), ex(PG(2,2); 4), ex(AG(1,3); 3) and ex(PG(1,3); 3).  A
+# search that loses the point-pair symmetry visits more nodes; without it
+# the counts are 714, 487, 795 and 416.
+PINNED_NODES = [
+    (make_pg(2, F2), 4, 8, 178),
+    (make_pg(3, F2), 4, 12, 335),
+    (make_ag(2, F3), 3, 4, 97),
+    (make_pg(2, F3), 3, 9, 192),
+]
+
+
+@pytest.mark.parametrize("H, n, value, nodes", PINNED_NODES)
+def test_ex_exact_nodes_are_pinned(H, n, value, nodes):
+    res = ex_exact(H, n)
+    assert (res.value, res.status, res.nodes) == (value, "exact", nodes)
+
+
+def test_ex_exact_needs_no_whole_space_set_up():
+    # nothing is built over the 1093 points of PG(6, 3) before the first node
+    start = time.monotonic()
+    res = ex_exact(make_pg(2, F3), 7, budget=Budget(node_cap=10))
+    assert time.monotonic() - start < 5
+    assert res.status == "lower-bound"
+    assert is_free(res.witness, make_pg(2, F3))
 
 
 def test_ex_exact_witness_contract():
@@ -76,6 +125,8 @@ def test_bose_burton_values():
     (make_pg(2, F2), 2), (make_pg(2, F2), 3), (make_pg(2, F2), 4),
     (make_pg(3, F2), 3), (make_pg(2, F3), 2),
     (make_ag(2, F3), 2), (make_ag(2, F3), 3),
+    (TRIANGLE, 3), (TRIANGLE, 4), (FRAME, 3),
+    (make_pg(2, F4), 2), (make_ag(2, F4), 2), (make_pg(2, F5), 2),
 ])
 def test_branch_and_bound_matches_naive_oracle(H, n):
     assert ex_exact(H, n).value == brute_force_ex(H, n)

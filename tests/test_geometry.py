@@ -18,6 +18,7 @@ from qgeom import (
     pg_size,
     span,
 )
+from qgeom.geometry import MAX_LISTED_POINTS
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -115,6 +116,19 @@ def test_complement():
     assert geometry_rank(comp) == 2  # the removed Fano line returns
     assert complement_geometry(comp) == ag
     assert len(complement_geometry(make_pg(3, F2))) == 0
+
+
+def test_point_listing_has_a_size_limit():
+    # PG(7, 16) has 286331153 points: refused before any list is built
+    f16 = field_make(16)
+    big = Geometry(field=f16, ambient=8, points=(0,))
+    for build in (lambda: make_pg(8, f16), lambda: make_g(8, f16, 0),
+                  lambda: make_ag(8, f16), lambda: complement_geometry(big)):
+        with pytest.raises(ValueError, match="above the limit"):
+            build()
+    # a space just below the limit still builds
+    assert pg_size(20, F2) == MAX_LISTED_POINTS - 1
+    assert len(make_pg(20, F2)) == MAX_LISTED_POINTS - 1
 
 
 def test_density_ratio_identity():
