@@ -15,13 +15,29 @@ of the basis images chosen so far to test independence, and a dict from
 each host point's canonical vector to its index places each guest image
 (see find).
 
+Containment is defined up to projective equivalence, so the search need
+not visit embeddings that differ only by an automorphism of H.  Let b0 be
+the first basis point, which is guest point 0, and O its orbit under a
+group K of automorphisms of H.  find keeps only embeddings in which b0's
+image has the least host index among the images of O.  This is sound for
+any subgroup K: given an embedding phi, pick g in O whose image phi(g) has
+the least index and sigma in K with sigma(b0) = g; then phi o sigma has
+the same image set and obeys the rule, since sigma(O) = O.  Nor does it
+change the witness: the first embedding in candidate order has the least
+possible image of b0, because if some g in O mapped lower, phi o sigma
+would be an earlier embedding.  The searcher builds O once: K is generated
+by the automorphisms that self-searches of H into H find within a budget
+of |H| * rank * q candidate steps (see _orbit).
+
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import getitem
 
 from .errors import FieldMismatch
@@ -42,6 +58,10 @@ class EmbeddingWitness:
     point_map: tuple
 
 
+class _OutOfSteps(Exception):
+    """A capped search used up its candidate steps."""
+
+
 class EmbedSearcher:
     """Reusable backtracking search for one fixed guest geometry.
 
@@ -56,12 +76,14 @@ class EmbedSearcher:
         vecs = H.point_vecs()
         self.size = len(vecs)
 
-        basis_rows = []
-        for v in vecs:
+        basis_rows, basis = [], []
+        for j, v in enumerate(vecs):
             cand, _ = rref(basis_rows + [v], H.ambient, f)
             if len(cand) > len(basis_rows):
                 basis_rows.append(v)
+                basis.append(j)
         self.m = len(basis_rows)
+        self.basis = basis  # guest position of each basis point; b0 is 0
 
         # R = T @ B with R the canonical span basis; coords of v in B are
         # (v at pivots) @ T because R is reduced echelon.
@@ -92,6 +114,46 @@ class EmbedSearcher:
         self.drop = [self.shift[f.neg(c)] for c in scalars]
         self.unit = [mul[0]] + [mul[f.inv(c)] for c in scalars[1:]]
 
+        self.orbit, self.symmetries, self.orbit_steps = self._orbit(H)
+
+    def _orbit(self, H):
+        """Orbit of b0 under the automorphisms of H that self-searches find.
+
+        For each guest point g not yet in the orbit, H is searched into
+        itself with b0's image fixed to g, without the orbit rule.  A hit
+        maps H onto itself: it is a point permutation of H (position j goes
+        to position perm[j]), and the orbit is closed under every one
+        found.  All these searches share one budget of |H| * m * q
+        candidate steps; when it runs out the orbit found so far stands,
+        which the rule allows for any subgroup.  Returns the orbit, the
+        permutations and the candidate steps used.
+        """
+        orbit, perms = {0}, []
+        cap = self.size * self.m * self.f.q
+        used = 0
+        position = {p: j for j, p in enumerate(H.points)}
+        for g in range(1, self.size):
+            if g in orbit:
+                continue
+            try:
+                hit, steps = self._search(H.points, H.ambient, {0},
+                                          (H.points[g],), cap - used)
+            except _OutOfSteps:
+                used = cap
+                break
+            used += steps
+            if hit is None:
+                continue
+            perms.append(tuple(position[p] for p in hit.point_map))
+            todo = list(orbit)
+            while todo:
+                j = todo.pop()
+                for perm in perms:
+                    if perm[j] not in orbit:
+                        orbit.add(perm[j])
+                        todo.append(perm[j])
+        return frozenset(orbit), perms, used
+
     def find(self, host_indices, host_ambient):
         """Search for an embedding into the given host point set.
 
@@ -109,25 +171,48 @@ class EmbedSearcher:
         remainder is left, and that remainder becomes echelon row i.  Work
         and memory grow with the host and the ambient rank, never with
         q^rank.
+
+        The orbit rule (see the module docstring) cuts twice at levels
+        i >= 1: a check of a guest point in the orbit fails when its image
+        has a lower index than b0's, and when basis point b_i is in the
+        orbit only host points above b0's image are tried for it.  Neither
+        cut removes the first embedding in candidate order, so the witness
+        is the one the search without the rule returns.
+        """
+        if self.m == 0:
+            return EmbeddingWitness(map=(), point_map=())
+        if self.size > len(host_indices) or self.m > host_ambient:
+            return None
+        return self._search(sorted(host_indices), host_ambient,
+                            self.orbit)[0]
+
+    def _search(self, host_order, host_ambient, orbit, top=None, cap=None):
+        """The backtracking core of find.
+
+        host_order: the host's point indices, increasing.  orbit: guest
+        positions held to the orbit rule.  top: the host points tried as
+        b0's image, all of them if None.  cap: raise _OutOfSteps rather
+        than try more host candidates than this, over all levels.  Returns
+        the first witness or None, and the candidates tried.
         """
         f = self.f
         m = self.m
-        if m == 0:
-            return EmbeddingWitness(map=(), point_map=())
-        if self.size > len(host_indices) or m > host_ambient:
-            return None
         mul, shift, drop, unit = f.mul_table, self.shift, self.drop, self.unit
         nonzero = range(1, f.q)
         # canonical vector -> index, in index order: the candidate order
-        host = {point_vec(hi, host_ambient, f): hi
-                for hi in sorted(host_indices)}
+        host = {point_vec(hi, host_ambient, f): hi for hi in host_order}
+        items = host.items()
+        first = items if top is None else [
+            (point_vec(hi, host_ambient, f), hi) for hi in top]
 
-        coords, levels = self.coords, self.levels
+        coords, levels, basis = self.coords, self.levels, self.basis
         scaled = [None] * m            # lambda_i * w_i
         images = [None] * self.size    # host point index per guest point
         echelon = [None] * m           # (pivot, row) with row[pivot] == 1
+        steps = 0
 
         def backtrack(i):
+            nonlocal steps
             checks = []
             for j in levels[i + 1]:
                 a = coords[j]
@@ -136,21 +221,35 @@ class EmbedSearcher:
                     if a[k]:
                         step = shift[a[k]]
                         pre = [step[x][y] for x, y in zip(pre, scaled[k])]
-                # rows[lam][t] maps x to pre_t + a_i * lam * x
-                checks.append((j, [[shift[c][x] for x in pre]
-                                   for c in mul[a[i]]]))
-            for w, hi in host.items():
+                # rows[lam][t] maps x to pre_t + a_i * lam * x.  An image
+                # with index <= low fails: -1 passes every host point, and
+                # an orbit point can meet b0's image only if w_i depends on
+                # w_0..w_(i-1), which fails anyway.
+                low = images[0] if i and j in orbit else -1
+                checks.append((j, low, [[shift[c][x] for x in pre]
+                                        for c in mul[a[i]]]))
+            if i == 0:
+                candidates = first
+            elif basis[i] in orbit:
+                candidates = islice(items, bisect_right(host_order, images[0]),
+                                    None)
+            else:
+                candidates = items
+            for w, hi in candidates:
+                if steps == cap:
+                    raise _OutOfSteps
+                steps += 1
                 r = None
                 for lam in (1,) if i == 0 else nonzero:
-                    for j, rows in checks:
+                    for j, low, rows in checks:
                         # a w in the span can give the zero vector; unit[0]
                         # keeps it zero and no host point matches it
                         img = tuple(map(getitem, rows[lam], w))
                         lead = next(filter(None, img), 0)
                         if lead != 1:
                             img = tuple(map(unit[lead].__getitem__, img))
-                        idx = host.get(img)
-                        if idx is None:
+                        idx = host.get(img, -1)
+                        if idx <= low:
                             break
                         images[j] = idx
                     else:
@@ -174,7 +273,7 @@ class EmbedSearcher:
                             return hit
             return None
 
-        return backtrack(0)
+        return backtrack(0), steps
 
     def _witness(self, scaled, images):
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]

@@ -92,11 +92,11 @@ def ex_exact(H, n, budget=None):
 
     def dfs(i):
         nonlocal best, nodes, exhausted
-        nodes += 1
-        if exhausted or nodes > budget.node_cap or \
+        if exhausted or nodes >= budget.node_cap or \
                 (deadline is not None and time.monotonic() > deadline):
             exhausted = True
             return
+        nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
         if i == total or len(chosen) + (total - i) <= len(best):

@@ -22,6 +22,7 @@ from qgeom import (
     pg_size,
     verify_witness,
 )
+from qgeom.embed import EmbedSearcher
 from qgeom.geometry import span_coordinates
 from qgeom.projective import canonical_vec, point_index, rref
 
@@ -200,19 +201,19 @@ def _image_sets(guest, n):
     # independent oracle: the host point sets onto which some full-rank
     # matrix maps the guest span coordinates
     f = guest.field
-    add, mul = f.add_table, f.mul_table
     m, _, coords = span_coordinates(guest)
-    images = set()
-    for M in _full_rank_matrices(m, n, f):
-        img = []
-        for a in coords:
-            v = [0] * n
-            for ai, row in zip(a, M):
-                if ai:
-                    v = [add[x][mul[ai][y]] for x, y in zip(v, row)]
-            img.append(point_index(v, n, f))
-        images.add(frozenset(img))
-    return images
+    return {frozenset(point_index(_times(a, M, f), n, f) for a in coords)
+            for M in _full_rank_matrices(m, n, f)}
+
+
+def _times(a, M, f):
+    # the row vector a times the matrix M
+    add, mul = f.add_table, f.mul_table
+    v = [0] * len(M[0])
+    for ai, row in zip(a, M):
+        if ai:
+            v = [add[x][mul[ai][y]] for x, y in zip(v, row)]
+    return v
 
 
 def _random_spanning_guest(f, m, rng):
@@ -255,6 +256,100 @@ def test_find_matches_full_rank_map_oracle(q, n, ranks):
                     assert verify_witness(host, guest, w)
                 seen.add(w is not None)
     assert seen == {True, False}
+
+
+def _points(f, vecs):
+    n = len(vecs[0])
+    return Geometry(field=f, ambient=n, points=tuple(
+        sorted({point_index(v, n, f) for v in vecs})))
+
+
+# Guests with a point-transitive automorphism group, and guests with more
+# than one orbit.  Point 0 of PG(2, q) is (0, 0, 1): guest point 0 lies on
+# the line in "line through 0" and "triangle and point", and is the point
+# off it in "line and point".
+def _line_through_0(f):
+    return _points(f, [(0, 1, a) for a in range(f.q)] + [(0, 0, 1), (1, 0, 0)])
+
+
+def _line_and_point(f):
+    return _points(f, [(1, a, 0) for a in range(f.q)] + [(0, 1, 0), (0, 0, 1)])
+
+
+def _triangle_and_point(f):
+    return _points(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)])
+
+
+# (guest, whether its automorphism group is transitive on its points)
+SYMMETRIC_GUESTS = [
+    (make_pg(2, F3), True), (make_ag(2, F3), True), (make_pg(3, F2), True),
+    (make_ag(3, F3), True), (make_g(3, F2, 2), True),
+    (make_g(3, F3, 2), True), (make_pg(2, F4), True),
+    (_line_through_0(F2), False), (_line_through_0(F3), False),
+    (_line_and_point(F2), False), (_line_and_point(F3), False),
+    (_triangle_and_point(F2), False), (_triangle_and_point(F3), False),
+] + [(_random_spanning_guest(f, m, random.Random(seed)), False)
+     for f, m, seed in [(F2, 3, 1), (F3, 2, 2), (F3, 3, 3), (F4, 2, 4)]]
+
+
+def _automorphisms(H):
+    # every permutation of H's points, by position, that some invertible
+    # matrix on span coordinates induces
+    f = H.field
+    m, _, coords = span_coordinates(H)
+    position = {point_index(a, m, f): j for j, a in enumerate(coords)}
+    perms = set()
+    for M in _full_rank_matrices(m, m, f):
+        perm = tuple(position.get(point_index(_times(a, M, f), m, f))
+                     for a in coords)
+        if None not in perm:
+            perms.add(perm)
+    return perms
+
+
+@pytest.mark.parametrize("guest, transitive", SYMMETRIC_GUESTS)
+def test_orbit_is_within_the_automorphism_orbit(guest, transitive):
+    s = EmbedSearcher(guest)
+    autos = _automorphisms(guest)
+    true_orbit = {perm[0] for perm in autos}
+    assert 0 in s.orbit
+    assert set(s.symmetries) <= autos
+    assert s.orbit <= true_orbit
+    for perm in s.symmetries:
+        assert {perm[j] for j in s.orbit} == s.orbit
+    if transitive:
+        assert s.orbit == true_orbit == set(range(len(guest)))
+
+
+def test_orbit_rule_is_exercised_on_non_transitive_guests():
+    # guests with more than one orbit, whose found orbit still moves point 0
+    moved = [guest for guest, transitive in SYMMETRIC_GUESTS
+             if not transitive and len(EmbedSearcher(guest).orbit) > 1]
+    assert len(moved) >= 3
+
+
+@pytest.mark.parametrize("guest, transitive", SYMMETRIC_GUESTS)
+def test_find_matches_oracle_on_symmetric_guests(guest, transitive):
+    # the orbit rule must keep some embedding of every copy, whichever
+    # point of the copy has the least index
+    f = guest.field
+    m = geometry_rank(guest)
+    rng = random.Random(len(guest) * f.q + m)
+    seen = set()
+    # rank-3 maps into PG(3, q) number 224640 at q = 3: too many
+    for n in (3, 4) if m == 2 or f.q == 2 else (3,):
+        total = pg_size(n, f)
+        for _ in range(15):
+            keep = rng.uniform(0.4, 1)
+            host = Geometry(field=f, ambient=n, points=tuple(
+                i for i in range(total) if rng.random() < keep))
+            w = contains(host, guest)
+            assert (w is not None) == _brute_equivalent_subset(
+                host, guest), (host.points, guest.points)
+            if w is not None:
+                assert verify_witness(host, guest, w)
+            seen.add(w is not None)
+    assert True in seen
 
 
 # Witnesses of the search as it tries host points in index order and
@@ -322,3 +417,15 @@ def test_high_rank_guest_search_is_bounded_by_input(n, q):
         preexec_fn=_cap_address_space)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("n, q", [(7, 16), (25, 2)])
+def test_orbit_phase_is_bounded_by_input(n, q):
+    # the guests of the test above; the self-searches that build the orbit
+    # share one budget of |H| * rank * q candidate steps
+    f = field_make(q)
+    vecs = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    vecs += [tuple(int(i in (0, k)) for i in range(n)) for k in range(1, n)]
+    s = EmbedSearcher(_points(f, vecs))
+    assert s.m == n
+    assert 0 < s.orbit_steps <= s.size * n * q

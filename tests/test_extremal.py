@@ -98,6 +98,14 @@ def test_ex_exact_needs_no_whole_space_set_up():
     assert is_free(res.witness, make_pg(2, F3))
 
 
+def test_ex_exact_counts_only_visited_nodes():
+    # a search still pending when the budget runs out visits no more nodes
+    for cap in (1, 10, 200):
+        res = ex_exact(make_pg(2, F3), 7, budget=Budget(node_cap=cap))
+        assert res.status == "lower-bound"
+        assert res.nodes == cap
+
+
 def test_ex_exact_witness_contract():
     H = make_pg(2, F2)
     res = ex_exact(H, 3)
