@@ -114,9 +114,9 @@ class EmbedSearcher:
         self.drop = [self.shift[f.neg(c)] for c in scalars]
         self.unit = [mul[0]] + [mul[f.inv(c)] for c in scalars[1:]]
 
-        self.orbit, self.symmetries, self.orbit_steps = self._orbit(H)
+        self.orbit, self.symmetries, self.orbit_steps = self._orbit(H, vecs)
 
-    def _orbit(self, H):
+    def _orbit(self, H, vecs):
         """Orbit of b0 under the automorphisms of H that self-searches find.
 
         For each guest point g not yet in the orbit, H is searched into
@@ -125,18 +125,39 @@ class EmbedSearcher:
         to position perm[j]), and the orbit is closed under every one
         found.  All these searches share one budget of |H| * m * q
         candidate steps; when it runs out the orbit found so far stands,
-        which the rule allows for any subgroup.  Returns the orbit, the
-        permutations and the candidate steps used.
+        which the rule allows for any subgroup.  A point whose line profile
+        differs from b0's cannot be in the orbit, so it gets no search.
+        Returns the orbit, the permutations and the candidate steps used.
         """
         orbit, perms = {0}, []
         cap = self.size * self.m * self.f.q
         used = 0
+        known = set(vecs)
+        shift, unit = self.shift, self.unit
+
+        def profile(j):
+            # sorted |line(p, x) & H| over the guest points x != p, where p
+            # is point j: automorphisms carry lines to lines, so two points
+            # in one orbit have the same profile.  Costs |H| * q * ambient.
+            p = vecs[j]
+            sizes = []
+            for k, x in enumerate(vecs):
+                if k != j:
+                    on = 1
+                    for row in shift:  # x + c * p for each scalar c
+                        v = tuple(map(getitem, map(row.__getitem__, x), p))
+                        lead = unit[next(filter(None, v))]
+                        on += tuple(map(lead.__getitem__, v)) in known
+                    sizes.append(on)
+            return sorted(sizes)
+
+        base = profile(0) if vecs else None  # the empty guest has no point 0
         position = {p: j for j, p in enumerate(H.points)}
         for g in range(1, self.size):
-            if g in orbit:
+            if g in orbit or profile(g) != base:
                 continue
             try:
-                hit, steps = self._search(H.points, H.ambient, {0},
+                hit, steps = self._search(H.points, H.ambient, (),
                                           (H.points[g],), cap - used)
             except _OutOfSteps:
                 used = cap
@@ -154,19 +175,21 @@ class EmbedSearcher:
                         todo.append(perm[j])
         return frozenset(orbit), perms, used
 
-    def find(self, host_indices, host_ambient):
+    def find(self, host_indices, host_ambient, anchor=None):
         """Search for an embedding into the given host point set.
 
         host_indices: set of point indices into PG(host_ambient - 1, q).
-        Returns the first EmbeddingWitness in candidate order, or None.
+        anchor: if given, a host point the image must contain.  Returns the
+        first EmbeddingWitness in candidate order, or None.
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
         of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
         (w_i, lambda_i) pair costs one table lookup per coordinate.  The
         image, scaled to its leading 1, is looked up in a dict from the
-        canonical vector of each host point to its index.  A candidate that
-        passes every check is then reduced against the echelon rows of
+        canonical vector of each host point to its index.  Basis point b_i
+        needs no lookup: its image is the candidate w_i itself.  A candidate
+        that passes every check is then reduced against the echelon rows of
         w_0..w_(i-1): it is independent of them exactly when a nonzero
         remainder is left, and that remainder becomes echelon row i.  Work
         and memory grow with the host and the ambient rank, never with
@@ -178,22 +201,40 @@ class EmbedSearcher:
         orbit only host points above b0's image are tried for it.  Neither
         cut removes the first embedding in candidate order, so the witness
         is the one the search without the rule returns.
+
+        With an anchor, a guest whose found orbit is all of its points has
+        b0 mapped to the anchor and the rule turned off: if phi(g) is the
+        anchor, pick sigma in K with sigma(b0) = g, and phi o sigma has the
+        same image set and maps b0 to the anchor.  Any other guest keeps
+        the rule and accepts only a full embedding whose image contains the
+        anchor; every embedding the rule drops has the image set of one it
+        keeps, so this too misses no image set.
         """
         if self.m == 0:
-            return EmbeddingWitness(map=(), point_map=())
-        if self.size > len(host_indices) or self.m > host_ambient:
+            return None if anchor is not None else \
+                EmbeddingWitness(map=(), point_map=())
+        if self.size > len(host_indices) or self.m > host_ambient or \
+                (anchor is not None and anchor not in host_indices):
             return None
-        return self._search(sorted(host_indices), host_ambient,
-                            self.orbit)[0]
+        host_order = sorted(host_indices)
+        if anchor is not None and len(self.orbit) == self.size:
+            return self._search(host_order, host_ambient, (), (anchor,))[0]
+        return self._search(host_order, host_ambient, self.orbit,
+                            anchor=anchor)[0]
 
-    def _search(self, host_order, host_ambient, orbit, top=None, cap=None):
+    def _search(self, host_order, host_ambient, orbit, top=None, cap=None,
+                anchor=None):
         """The backtracking core of find.
 
         host_order: the host's point indices, increasing.  orbit: guest
         positions held to the orbit rule.  top: the host points tried as
         b0's image, all of them if None.  cap: raise _OutOfSteps rather
-        than try more host candidates than this, over all levels.  Returns
-        the first witness or None, and the candidates tried.
+        than try more host candidates than this, over all levels.  anchor:
+        a host point every accepted embedding's image contains, if given.
+        Level i checks every guest point it determines except b_i, whose
+        image is the candidate w_i's index; the bisect start already holds
+        an orbit basis point above b0's image.  Returns the first witness
+        or None, and the candidates tried.
         """
         f = self.f
         m = self.m
@@ -215,6 +256,8 @@ class EmbedSearcher:
             nonlocal steps
             checks = []
             for j in levels[i + 1]:
+                if j == basis[i]:
+                    continue
                 a = coords[j]
                 pre = [0] * host_ambient
                 for k in range(i):
@@ -239,6 +282,7 @@ class EmbedSearcher:
                 if steps == cap:
                     raise _OutOfSteps
                 steps += 1
+                images[basis[i]] = hi
                 r = None
                 for lam in (1,) if i == 0 else nonzero:
                     for j, low, rows in checks:
@@ -267,8 +311,10 @@ class EmbedSearcher:
                         scaled[i] = tuple(map(mul[lam].__getitem__, w))
                         if i + 1 < m:
                             hit = backtrack(i + 1)
-                        else:
+                        elif anchor is None or anchor in images:
                             hit = self._witness(scaled, images)
+                        else:
+                            hit = None
                         if hit is not None:
                             return hit
             return None

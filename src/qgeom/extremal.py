@@ -3,8 +3,9 @@
 ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
 |current set| + points still undecided.  The current set is H-free by
-invariant, so including point p is checked by one embedding search into
-the set plus p, and any embedding found must use p.
+invariant, so every copy of H in the set plus p goes through p: including
+p is checked by one embedding search into the set plus p anchored at p,
+which looks only for embeddings whose image contains p.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -101,7 +102,7 @@ def ex_exact(H, n, budget=None):
             best = list(chosen)
         if i == total or len(chosen) + (total - i) <= len(best):
             return
-        if searcher.find(frozenset(chosen) | {i}, n) is None:
+        if searcher.find(frozenset(chosen) | {i}, n, anchor=i) is None:
             chosen.append(i)
             dfs(i + 1)
             chosen.pop()

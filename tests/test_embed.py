@@ -317,8 +317,20 @@ def test_orbit_is_within_the_automorphism_orbit(guest, transitive):
     assert s.orbit <= true_orbit
     for perm in s.symmetries:
         assert {perm[j] for j in s.orbit} == s.orbit
+    # the line profile skips every point outside the true orbit, so the
+    # budget is not spent on them and these small guests get the whole orbit
+    assert s.orbit == true_orbit
     if transitive:
-        assert s.orbit == true_orbit == set(range(len(guest)))
+        assert s.orbit == set(range(len(guest)))
+
+
+def test_points_outside_the_orbit_get_no_self_search():
+    # the triangle and the point (1, 0, 1) of PG(2, 2): points 0, 2 and 3
+    # are collinear and point 1 is off their line.  A failed self-search
+    # for point 1 would use the whole budget of 24 steps before the others.
+    s = EmbedSearcher(_triangle_and_point(F2))
+    assert s.orbit == {0, 2, 3}
+    assert s.orbit_steps < s.size * s.m * s.f.q
 
 
 def test_orbit_rule_is_exercised_on_non_transitive_guests():
@@ -350,6 +362,46 @@ def test_find_matches_oracle_on_symmetric_guests(guest, transitive):
                 assert verify_witness(host, guest, w)
             seen.add(w is not None)
     assert True in seen
+
+
+# (guest, whether the anchored search fixes b0's image to the anchor):
+# point-transitive guests do, the others filter full embeddings
+ANCHOR_GUESTS = [
+    (make_pg(2, F3), True), (make_ag(2, F3), True), (make_pg(3, F2), True),
+    (make_ag(3, F3), True), (make_g(3, F2, 2), True),
+    (_line_and_point(F2), False), (_line_and_point(F3), False),
+    (_triangle_and_point(F2), False), (_triangle_and_point(F3), False),
+]
+
+
+@pytest.mark.parametrize("guest, transitive", ANCHOR_GUESTS)
+def test_anchored_find_matches_oracle(guest, transitive):
+    # find(host, anchor=p) finds an embedding exactly when some copy of the
+    # guest inside the host goes through p, and its image contains p
+    f = guest.field
+    m = geometry_rank(guest)
+    s = EmbedSearcher(guest)
+    assert (len(s.orbit) == len(guest)) == transitive
+    rng = random.Random(7 * len(guest) + f.q + m)
+    seen = set()
+    for n in (3, 4) if m == 2 or f.q == 2 else (3,):
+        total = pg_size(n, f)
+        images = _image_sets(guest, n)
+        for _ in range(12):
+            keep = rng.uniform(0.4, 1)
+            host = frozenset(i for i in range(total) if rng.random() < keep)
+            host_geometry = Geometry(field=f, ambient=n,
+                                     points=tuple(sorted(host)))
+            for p in rng.sample(range(total), min(total, 5)):
+                w = s.find(host, n, anchor=p)
+                expect = p in host and any(
+                    p in img and img <= host for img in images)
+                assert (w is not None) == expect, (sorted(host), p)
+                if w is not None:
+                    assert p in w.point_map
+                    assert verify_witness(host_geometry, guest, w)
+                seen.add(w is not None)
+    assert seen == {True, False}
 
 
 # Witnesses of the search as it tries host points in index order and

@@ -27,6 +27,7 @@ from qgeom import (
     make_pg,
     point_index,
 )
+from qgeom.embed import EmbedSearcher
 from qgeom.extremal import density_rows_to_csv
 
 F2 = field_make(2)
@@ -138,6 +139,28 @@ def test_bose_burton_values():
 ])
 def test_branch_and_bound_matches_naive_oracle(H, n):
     assert ex_exact(H, n).value == brute_force_ex(H, n)
+
+
+@pytest.mark.parametrize("H, n", [
+    (make_pg(2, F2), 3), (make_pg(2, F2), 4), (make_ag(2, F3), 3),
+    (make_pg(2, F3), 3),
+])
+def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
+    # H is point-transitive, so each freeness test fixes b0's image to the
+    # new point, the greatest in the set; the final re-check is unanchored
+    expect = brute_force_ex(H, n)
+    calls = []
+    search = EmbedSearcher._search
+
+    def spy(self, host_order, host_ambient, orbit, top=None, *rest, **kw):
+        if host_ambient == n:  # not a self-search of H into itself
+            calls.append(top == (host_order[-1],) and not orbit)
+        return search(self, host_order, host_ambient, orbit, top, *rest, **kw)
+
+    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    res = ex_exact(H, n)
+    assert (res.value, res.status) == (expect, "exact")
+    assert len(calls) > 1 and all(calls[:-1]) and not calls[-1]
 
 
 def test_lower_bound_sandwich_and_monotonicity():
