@@ -6,9 +6,16 @@ rationals cross the boundary as "num/den" strings.  Exit codes: 0 success,
 1 negative answer (contains / sparse-flat found nothing), 2 on any parse
 or contract failure, reported as a machine-readable error object.
 
+bounds --eps takes a positive integer or "num/den", at most
+MAX_EPS_DIGITS digits each; --mode recursive refuses (Unsupported) a
+recursion level whose rank has more bits than the default digit cap.
+
 Searches in this implementation are single-threaded and deterministic;
---threads (default from QGEOM_THREADS) and --deterministic are accepted
-for interface stability.
+--threads (default from QGEOM_THREADS, which must then be a positive
+integer) and --deterministic are accepted for interface stability.
+
+Each subcommand imports the modules it uses when it runs, so a process
+pays start-up only for those.
 """
 
 from __future__ import annotations
@@ -16,43 +23,38 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from fractions import Fraction
 
-from . import bounds as bounds_mod
-from .embed import contains
 from .errors import QgeomError
-from .extremal import (
-    Budget,
-    density_rows_to_csv,
-    density_table,
-    ex_exact,
-    find_sparse_flat,
-)
-from .field import field_make
-from .geometry import (
-    critical_exponent,
-    geometry_from_json,
-    geometry_to_json,
-    make_ag,
-    make_g,
-    make_pg,
-)
+
+# --eps is checked on its text, so no exponent form such as 1e-9999999
+# can make Fraction build a huge power of ten.
+MAX_EPS_DIGITS = 1000
 
 
 def _load_geometry(path):
+    from .geometry import geometry_from_json
     with open(path) as fh:
         return geometry_from_json(json.load(fh))
 
 
 def _parse_eps(text):
-    eps = Fraction(text)
-    if eps <= 0:
+    from fractions import Fraction
+    digits = "([0-9]{1,%d})" % MAX_EPS_DIGITS
+    match = re.fullmatch(digits + "(?:/" + digits + ")?", text)
+    if match is None:
+        raise ValueError('eps must be an integer or "num/den" with at most '
+                         '%d digits each' % MAX_EPS_DIGITS)
+    num, den = int(match[1]), int(match[2] or 1)
+    if num == 0 or den == 0:
         raise ValueError("eps must be a positive rational")
-    return eps
+    return Fraction(num, den)
 
 
 def cmd_make(args):
+    from .field import field_make
+    from .geometry import geometry_to_json, make_ag, make_g, make_pg
     f = field_make(args.q)
     if args.family == "pg":
         H = make_pg(args.m, f)
@@ -72,12 +74,14 @@ def cmd_make(args):
 
 
 def cmd_critical(args):
+    from .geometry import critical_exponent
     H = _load_geometry(args.path)
     print(critical_exponent(H))
     return 0
 
 
 def cmd_contains(args):
+    from .embed import contains
     host = _load_geometry(args.host)
     guest = _load_geometry(args.guest)
     w = contains(host, guest)
@@ -90,10 +94,13 @@ def cmd_contains(args):
 
 
 def _budget_from_args(args):
+    from .extremal import Budget
     return Budget(node_cap=args.node_cap, time_cap=args.time_cap)
 
 
 def cmd_extremal(args):
+    from .extremal import ex_exact
+    from .geometry import geometry_to_json
     H = _load_geometry(args.forbid)
     res = ex_exact(H, args.n, budget=_budget_from_args(args))
     print(json.dumps({
@@ -106,6 +113,7 @@ def cmd_extremal(args):
 
 
 def cmd_density(args):
+    from .extremal import density_rows_to_csv, density_table
     H = _load_geometry(args.forbid)
     rows = density_table(H, range(args.n_min, args.n_max + 1),
                          budget=_budget_from_args(args))
@@ -119,6 +127,7 @@ def cmd_density(args):
 
 
 def cmd_sparse_flat(args):
+    from .extremal import find_sparse_flat
     G = _load_geometry(args.path)
     F = find_sparse_flat(G, args.m, args.c)
     if F is None:
@@ -129,13 +138,14 @@ def cmd_sparse_flat(args):
 
 
 def cmd_bounds(args):
+    from .bounds import binary_base, r_main2_binary, r_main2_recursive
     eps = _parse_eps(args.eps)
     if args.q != 2:
         raise ValueError("bounds are only available in closed form for q = 2")
     if not args.m > args.c >= 1:
         raise ValueError("bounds need m > c >= 1")
     if args.mode == "closed-form":
-        v = bounds_mod.r_main2_binary(args.m, args.c, eps)
+        v = r_main2_binary(args.m, args.c, eps)
         if v.kind == "exact":
             out = {"kind": "exact", "value": str(v.value)}
         else:
@@ -143,8 +153,9 @@ def cmd_bounds(args):
                    "arg": str(v.arg)}
         print(json.dumps(out))
     else:
-        rb = bounds_mod.r_main2_recursive(args.m, field_make(2), args.c, eps,
-                                          bounds_mod.binary_base)
+        from .field import field_make
+        rb = r_main2_recursive(args.m, field_make(2), args.c, eps,
+                               binary_base)
         trace = [{"c": lv.c, "m": lv.m,
                   "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
                   "r": lv.r, "t": lv.t, "value": lv.value}
@@ -160,8 +171,8 @@ def build_parser():
     ap.add_argument("--deterministic", action="store_true",
                     help="force single-worker search (already the default)")
     ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("QGEOM_THREADS", "1")),
-                    help="worker count; this build always runs one worker")
+                    help="worker count (default QGEOM_THREADS, else 1); "
+                         "this build always runs one worker")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", help="write a PG/AG/G geometry file")
@@ -215,12 +226,24 @@ def build_parser():
     return ap
 
 
+def _threads(args):
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("QGEOM_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("QGEOM_THREADS must be a positive integer, not %r"
+                         % text) from None
+
+
 def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
+        if _threads(args) < 1:
+            raise ValueError("the worker count (--threads or QGEOM_THREADS) "
+                             "must be at least 1")
         return args.func(args)
     except SystemExit:
         raise

@@ -36,7 +36,7 @@ span(H), so verify_witness can check it without re-running any search.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from operator import getitem
 
@@ -45,8 +45,7 @@ from .geometry import span_coordinates
 from .projective import combine, point_index, point_vec, rref
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(namedtuple("EmbeddingWitness", "map point_map")):
     """Certificate that the guest embeds into the host.
 
     map: m x n matrix (m = guest rank, n = host ambient) acting on guest
@@ -54,8 +53,7 @@ class EmbeddingWitness:
     index for each guest point, aligned with the guest's sorted points.
     """
 
-    map: tuple
-    point_map: tuple
+    __slots__ = ()
 
 
 class _OutOfSteps(Exception):

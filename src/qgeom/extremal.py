@@ -23,7 +23,7 @@ status to "lower-bound" instead of failing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .embed import EmbedSearcher, contains
@@ -38,28 +38,25 @@ from .projective import (
 )
 
 
-@dataclass
-class Budget:
-    node_cap: int = 10 ** 8
-    time_cap: float | None = None
+class Budget(namedtuple("Budget", "node_cap time_cap",
+                        defaults=(10 ** 8, None))):
+    """Search limits: a node count and an optional time in seconds."""
+
+    __slots__ = ()
 
 
-@dataclass
-class ExtremalResult:
-    value: int
-    witness: Geometry
-    status: str  # "exact" or "lower-bound"
-    nodes: int = 0
+class ExtremalResult(namedtuple("ExtremalResult", "value witness status nodes",
+                                defaults=(0,))):
+    """ex_exact's answer; status is "exact" or "lower-bound"."""
+
+    __slots__ = ()
 
 
-@dataclass
-class DensityRow:
-    n: int
-    ex: int
-    total: int
-    density: Fraction
-    limit: Fraction
-    status: str
+class DensityRow(namedtuple("DensityRow",
+                            "n ex total density limit status")):
+    """One rank of a density table; density and limit are Fractions."""
+
+    __slots__ = ()
 
 
 def is_free(S, H):

@@ -17,7 +17,6 @@ construction time; addition is digit-wise mod p (a plain XOR when p = 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DivisionByZero, NotPrimePower, Unsupported
@@ -116,24 +115,21 @@ def is_irreducible(modulus, p):
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Immutable description of GF(q) plus its arithmetic tables.
 
-    The tables are derived from (p, k, modulus) and excluded from
-    equality/hashing; field_make caches one instance per q anyway.
-    add_table[a][b] and mul_table[a][b] are a + b and a * b; inner loops
-    index these rows directly instead of calling add and mul.
+    modulus is empty when k == 1.  The tables are derived from (p, k,
+    modulus) and excluded from equality/hashing; field_make caches one
+    instance per q anyway.  add_table[a][b] and mul_table[a][b] are a + b
+    and a * b; inner loops index these rows directly instead of calling
+    add and mul.
     """
 
-    p: int
-    k: int
-    q: int
-    modulus: tuple  # empty when k == 1
+    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "_neg",
+                 "_inv", "_exp", "_log")
 
-    def __post_init__(self):
-        p, k, q = self.p, self.k, self.q
-        mod = list(self.modulus) if self.k > 1 else [0, 1]
+    def __init__(self, p, k, q, modulus):
+        mod = list(modulus) if k > 1 else [0, 1]
 
         def mul_raw(a, b):
             if k == 1:
@@ -174,12 +170,33 @@ class FieldSpec:
         for a in range(1, q):
             inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
 
-        object.__setattr__(self, "add_table", add)
-        object.__setattr__(self, "mul_table", mul)
-        object.__setattr__(self, "_neg", neg)
-        object.__setattr__(self, "_inv", inv)
-        object.__setattr__(self, "_exp", tuple(exp))
-        object.__setattr__(self, "_log", tuple(log))
+        for name, value in zip(self.__slots__, (p, k, q, modulus, add, mul,
+                                                neg, inv, tuple(exp),
+                                                tuple(log))):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.p, self.k, self.q, self.modulus
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "FieldSpec(p=%r, k=%r, q=%r, modulus=%r)" % self._key()
+
+    def __reduce__(self):
+        return FieldSpec, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldSpec is immutable")
 
     def add(self, a, b):
         return self.add_table[a][b]

@@ -12,10 +12,8 @@ All densities and ratios derived from these sets are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyGeometry
-from .field import FieldSpec, field_make
+from .field import field_make
 from .projective import (
     Flat,
     flat_points,
@@ -28,12 +26,23 @@ from .projective import (
 )
 
 
-@dataclass(frozen=True)
 class Geometry:
-    field: FieldSpec
-    ambient: int
-    points: tuple  # sorted, duplicate-free point indices
+    """An immutable point set of PG(ambient-1, q) over the FieldSpec field.
 
+    points is stored sorted and duplicate-free; len() is the point count.
+    Equality and hashing use (field, ambient, points).
+    """
+
+    __slots__ = ("field", "ambient", "points")
+
+    def __init__(self, field, ambient, points):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "points", points)
+        self.__post_init__()
+
+    # The checks keep their own method: bench/tracing.py counts
+    # constructions by wrapping it.
     def __post_init__(self):
         pts = tuple(sorted(self.points))
         if len(pts) != len(set(pts)):
@@ -51,6 +60,29 @@ class Geometry:
 
     def __len__(self):
         return len(self.points)
+
+    def _key(self):
+        return self.field, self.ambient, self.points
+
+    def __eq__(self, other):
+        if type(other) is not Geometry:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Geometry(field=%r, ambient=%r, points=%r)" % self._key()
+
+    def __reduce__(self):
+        return Geometry, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Geometry is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Geometry is immutable")
 
 
 # make_pg, make_g and complement_geometry list every point of the space and

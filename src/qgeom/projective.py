@@ -15,18 +15,17 @@ means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .errors import PointInFlat, ZeroVector
-from .field import FieldSpec
 
 
-@dataclass(frozen=True)
-class Flat:
-    basis: tuple  # RREF rows, possibly empty (the rank-0 flat)
-    n: int        # ambient rank
-    field: FieldSpec
+class Flat(namedtuple("Flat", "basis n field")):
+    """A subspace: its RREF rows (none for the rank-0 flat), the ambient
+    rank n and the FieldSpec."""
+
+    __slots__ = ()
 
     @property
     def rank(self):

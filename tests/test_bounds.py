@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qgeom import (
     InvalidEpsilon,
+    Unsupported,
     field_make,
     r_main2_binary,
     r_main2_recursive,
@@ -80,10 +82,12 @@ def test_smallest_t_examples():
 
 
 def test_smallest_t_definition_holds_at_boundary():
-    for (c, r, eps) in [(2, 4, Fraction(1, 2)), (3, 3, Fraction(1, 8)),
-                        (1, 2, Fraction(1))]:
-        t = smallest_t(F2, c, r, eps)
-        q = 2
+    for q, (c, r, eps) in product(
+            [2, 3, 4, 7, 16],
+            [(2, 4, Fraction(1, 2)), (3, 3, Fraction(1, 8)),
+             (1, 2, Fraction(1)), (2, 1, Fraction(7, 3)),
+             (4, 60, Fraction(1, 10 ** 30))]):
+        t = smallest_t(field_make(q), c, r, eps)
         lhs = Fraction(q ** r - 1, q ** (c - 1))
         assert Fraction(eps, 2) * (q ** (t + 1) - q ** r) >= lhs
         if t > r:
@@ -111,6 +115,14 @@ def test_recursive_traced_example():
     assert base.c == 1 and base.m == 3 and base.eps == Fraction(1, 2)
     assert base.value == 4
     assert rb.value.value == max(top.t, base.value) == 4
+
+
+def test_recursive_refuses_ranks_above_the_digit_cap():
+    # -m 10 -c 3 feeds a rank of about 3 * 2^189 to its c = 1 level
+    with pytest.raises(Unsupported):
+        r_main2_recursive(10, F2, 3, Fraction(1, 2), binary_base)
+    with pytest.raises(Unsupported):
+        r_main2_recursive(10 ** 6, F2, 1, Fraction(1, 2), binary_base)
 
 
 def test_recursive_eps_stays_positive():

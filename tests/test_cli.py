@@ -1,6 +1,13 @@
 import json
+import os
+import pickle
 import subprocess
 import sys
+
+import pytest
+
+import qgeom
+from qgeom import FieldSpec, Geometry
 
 
 def run_cli(*args, **kw):
@@ -156,3 +163,88 @@ def test_deterministic_flag_accepted(tmp_path):
     r1 = run_cli("--deterministic", "extremal", str(forbid), "-n", "3")
     r2 = run_cli("--deterministic", "extremal", str(forbid), "-n", "3")
     assert r1.returncode == 0 and r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("eps", ["1/0", "1e-9999999", "0.5e-3", "0"])
+def test_bounds_rejects_eps_outside_the_integer_or_num_den_form(eps):
+    # Fraction("1e-9999999") alone takes seconds; the text is refused first
+    r = run_cli("bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", eps,
+                timeout=10)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_qgeom_threads_exits_2(threads):
+    r = run_cli("bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", "1/4",
+                env=dict(os.environ, QGEOM_THREADS=threads))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ValueError"
+
+
+def test_recursive_bounds_refuse_ranks_above_the_digit_cap():
+    # the c = 1 level would get a rank of about 3 * 2^189
+    r = run_cli("bounds", "-q", "2", "-m", "10", "-c", "3", "--eps", "1/2",
+                "--mode", "recursive", timeout=10)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "Unsupported"
+
+
+def modules_loaded_by(argv):
+    """sys.modules of a fresh interpreter after qgeom.cli.main(argv)."""
+    code = ("import contextlib, io, json, sys\n"
+            "from qgeom.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(%r) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n" % (argv,))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    return set(json.loads(r.stdout))
+
+
+def test_subcommands_import_only_the_modules_they_use(tmp_path):
+    loaded = modules_loaded_by(["bounds", "-q", "2", "-m", "3", "-c", "1",
+                                "--eps", "1/4"])
+    assert "qgeom.bounds" in loaded
+    assert not loaded & {"dataclasses", "inspect", "qgeom.field",
+                         "qgeom.projective", "qgeom.geometry", "qgeom.embed",
+                         "qgeom.extremal"}
+
+    path = tmp_path / "line.json"
+    path.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 2, '
+                    '"points": [[0, 1], [1, 0], [1, 1]]}')
+    loaded = modules_loaded_by(["critical", str(path)])
+    assert "qgeom.geometry" in loaded
+    assert not loaded & {"dataclasses", "inspect", "qgeom.embed",
+                         "qgeom.extremal", "qgeom.bounds"}
+
+
+def test_package_names_resolve_to_their_submodules():
+    star = {}
+    exec("from qgeom import *", star)
+    assert set(qgeom.__all__) <= set(star)
+    for name in qgeom.__all__:
+        value = getattr(qgeom, name)
+        assert value is star[name]
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert qgeom.embed is sys.modules["qgeom.embed"]
+    with pytest.raises(AttributeError):
+        qgeom.no_such_name
+
+
+def test_geometry_and_field_are_immutable_hashable_values():
+    f1, f2 = FieldSpec(2, 1, 2, ()), FieldSpec(p=2, k=1, q=2, modulus=())
+    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
+    assert f1 != FieldSpec(3, 1, 3, ())
+    g1 = Geometry(f1, 3, (4, 0, 2))
+    g2 = Geometry(field=f2, ambient=3, points=[2, 4, 0])
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1.points == (0, 2, 4) and len(g1) == 3
+    assert g1 != Geometry(f1, 3, (0, 2))
+    for obj, attr in ((f1, "q"), (f1, "add_table"), (g1, "points"),
+                      (g1, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert pickle.loads(pickle.dumps(g1)) == g1
