@@ -9,6 +9,8 @@ or contract failure, reported as a machine-readable error object.
 bounds --eps takes a positive integer or "num/den", at most
 MAX_EPS_DIGITS digits each; --mode recursive refuses (Unsupported) a
 recursion level whose rank has more bits than the default digit cap.
+bounds prints every integer in full, also past the 4,300 digits that
+str() refuses since Python 3.11.
 
 Searches in this implementation are single-threaded and deterministic;
 --threads (default from QGEOM_THREADS, which must then be a positive
@@ -50,6 +52,29 @@ def _parse_eps(text):
     if num == 0 or den == 0:
         raise ValueError("eps must be a positive rational")
     return Fraction(num, den)
+
+
+def _decimal(n):
+    """str(n) for an int n >= 0 of any size.
+
+    Halves n by a power of ten until each piece is short enough for str()
+    under the interpreter's int-to-str digit limit.
+    """
+    if n.bit_length() <= 4096:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _dumps(obj):
+    """json.dumps for the bounds output, with ints through _decimal."""
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join(json.dumps(k) + ": " + _dumps(v)
+                                  for k, v in obj.items())
+    if isinstance(obj, list):
+        return "[%s]" % ", ".join(map(_dumps, obj))
+    return _decimal(obj) if type(obj) is int else json.dumps(obj)
 
 
 def cmd_make(args):
@@ -147,11 +172,10 @@ def cmd_bounds(args):
     if args.mode == "closed-form":
         v = r_main2_binary(args.m, args.c, eps)
         if v.kind == "exact":
-            out = {"kind": "exact", "value": str(v.value)}
+            out = {"kind": "exact", "value": _decimal(v.value)}
         else:
             out = {"kind": "tower-symbolic", "height": v.height,
-                   "arg": str(v.arg)}
-        print(json.dumps(out))
+                   "arg": _decimal(v.arg)}
     else:
         from .field import field_make
         rb = r_main2_recursive(args.m, field_make(2), args.c, eps,
@@ -160,8 +184,9 @@ def cmd_bounds(args):
                   "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
                   "r": lv.r, "t": lv.t, "value": lv.value}
                  for lv in rb.trace]
-        print(json.dumps({"kind": "exact", "value": str(rb.value.value),
-                          "trace": trace}))
+        out = {"kind": "exact", "value": _decimal(rb.value.value),
+               "trace": trace}
+    print(_dumps(out))
     return 0
 
 

@@ -124,12 +124,17 @@ def bose_burton_value(m, n, f):
 def find_sparse_flat(G, m, c):
     """A rank-m flat F of the ambient PG with rank(F intersect G) <= m - c.
 
-    Flats are enumerated lazily; returns the first hit or None after
-    exhausting all rank-m flats.
+    Such an F meets G inside a rank-(m-c) flat, so at least
+    pg_size(m) - pg_size(m-c) of its points lie off G: when the ambient
+    has fewer points off G, None is returned at once.  Otherwise flats are
+    enumerated lazily; returns the first hit or None after exhausting all
+    rank-m flats.
     """
     if not 1 <= c < m <= G.ambient:
         raise ValueError("sparse-flat needs 1 <= c < m <= ambient rank")
     f, n = G.field, G.ambient
+    if pg_size(n, f) - len(G) < pg_size(m, f) - pg_size(m - c, f):
+        return None
     gset = G.point_set
     for F in iter_flats(n, f, m):
         hit = flat_points(F) & gset

@@ -12,12 +12,13 @@ All densities and ratios derived from these sets are exact rationals.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import EmptyGeometry
 from .field import field_make
 from .projective import (
     Flat,
     flat_points,
-    iter_flats,
     pg_size,
     point_index,
     point_vec,
@@ -157,19 +158,57 @@ def critical_exponent(H):
     """Least c >= 1 such that some rank-(m-c) flat of span(H) avoids H.
 
     Works in coordinates of the span, so only the rank m of H matters,
-    not the ambient.  The rank-0 flat is disjoint from everything, so the
-    answer always lands in [1, m].
+    not the ambient: c = m - k for the largest rank k of a flat that
+    misses H (k < m, as H is not empty).  A span of more than
+    MAX_LISTED_POINTS points raises ValueError.
+
+    The search is depth-first over reduced echelon bases of flats, built
+    from the last row up.  A new row v has its leading 1 in a column p
+    left of every pivot so far and zeros in those pivot columns, so each
+    flat is reached once, and each partial basis spans a subflat that must
+    itself miss H.  Each point of H is kept reduced against the rows so
+    far, that is with zeros in their pivot columns, and scaled to a
+    leading 1.  A point h lies in the span of the rows and v exactly when
+    its residue is v, so a candidate row costs one set lookup.  A branch
+    whose next pivot is p ends at rank at most (rows so far) + 1 + p; it
+    is cut when that cannot beat the best rank found, and the search ends
+    once the next rank needs more points than lie off H.
     """
     if not H.points:
         raise EmptyGeometry("critical exponent of the empty geometry")
     f = H.field
     m, _, coords = span_coordinates(H)
-    inside = frozenset(point_index(v, m, f) for v in coords)
-    for c in range(1, m + 1):
-        for F in iter_flats(m, f, m - c):
-            if inside.isdisjoint(flat_points(F)):
-                return c
-    raise AssertionError("unreachable: the rank-0 flat is always disjoint")
+    off = _listable_size(m, f) - len(coords)
+    top = max(k for k in range(m) if pg_size(k, f) <= off)
+    add, mul = f.add_table, f.mul_table
+    best = 0
+
+    def grow(residues, pivots):
+        nonlocal best
+        best = max(best, len(pivots))
+        for p in range(min(pivots, default=m) - 1, -1, -1):
+            free = [j for j in range(p + 1, m) if j not in pivots]
+            for tail in product(range(f.q), repeat=len(free)):
+                if best == top or len(pivots) + 1 + p <= best:
+                    return
+                v = [0] * m
+                v[p] = 1
+                for j, x in zip(free, tail):
+                    v[j] = x
+                if tuple(v) in residues:
+                    continue
+                reduced = set()
+                for r in residues:
+                    if r[p]:  # r - r[p] * v, scaled to a leading 1
+                        drop = mul[f.neg(r[p])]
+                        r = [add[x][drop[y]] for x, y in zip(r, v)]
+                        scale = mul[f.inv(next(filter(None, r)))]
+                        r = tuple(map(scale.__getitem__, r))
+                    reduced.add(r)
+                grow(reduced, pivots + [p])
+
+    grow(set(coords), [])
+    return m - best
 
 
 def complement_geometry(H):

@@ -2,12 +2,22 @@
 
 The extremal oracle enumerates every subset of the ground set outright; it
 shares only the freeness predicate with the library, never the search.
+The flat oracles list every flat of the rank in question and test each
+one, with no counting shortcut and no pruning.
 """
 
 from itertools import combinations
 
 from qgeom import Geometry, pg_size
 from qgeom.embed import EmbedSearcher
+from qgeom.geometry import span_coordinates
+from qgeom.projective import (
+    flat_points,
+    iter_flats,
+    point_index,
+    point_vec,
+    span,
+)
 
 
 def brute_force_ex(H, n):
@@ -38,3 +48,29 @@ def brute_force_ex(H, n):
 
 def subset_geometry(f, n, indices):
     return Geometry(field=f, ambient=n, points=tuple(indices))
+
+
+def critical_exponent_by_flat_scan(H):
+    """Least c >= 1 such that some rank-(m-c) flat of span(H) avoids H.
+
+    Lists the flats of span(H) rank by rank, from m - 1 down to 0, and
+    returns at the first one disjoint from H.
+    """
+    f = H.field
+    m, _, coords = span_coordinates(H)
+    inside = frozenset(point_index(v, m, f) for v in coords)
+    for c in range(1, m + 1):
+        for F in iter_flats(m, f, m - c):
+            if inside.isdisjoint(flat_points(F)):
+                return c
+    raise AssertionError("the rank-0 flat is always disjoint")
+
+
+def sparse_flat_by_scan(G, m, c):
+    """The first rank-m flat, in enumeration order, meeting G in rank <= m-c."""
+    f, n = G.field, G.ambient
+    for F in iter_flats(n, f, m):
+        hit = flat_points(F) & G.point_set
+        if span([point_vec(i, n, f) for i in hit], n, f).rank <= m - c:
+            return F
+    return None

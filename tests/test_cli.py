@@ -3,11 +3,13 @@ import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import qgeom
 from qgeom import FieldSpec, Geometry
+from qgeom.cli import _decimal
 
 
 def run_cli(*args, **kw):
@@ -105,6 +107,17 @@ def test_critical_loads_high_ambient_without_whole_space_tables(tmp_path):
     assert r.stdout.strip() == "1"
 
 
+def test_critical_refuses_a_span_above_the_listing_limit(tmp_path):
+    # e_0..e_20 span all of PG(20, 2): 2^21 - 1 points, above the limit
+    path = tmp_path / "frame21.json"
+    path.write_text(json.dumps({
+        "q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 21,
+        "points": [[int(i == j) for j in range(21)] for i in range(21)]}))
+    r = run_cli("critical", str(path), timeout=10)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ValueError"
+
+
 def test_extremal_command(tmp_path):
     forbid = tmp_path / "line.json"
     run_cli("make", "pg", "-m", "2", "-q", "2", "-o", str(forbid))
@@ -188,6 +201,39 @@ def test_recursive_bounds_refuse_ranks_above_the_digit_cap():
                 "--mode", "recursive", timeout=10)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "Unsupported"
+
+
+def test_decimal_matches_the_value_past_the_int_to_str_digit_limit():
+    for n in (0, 7, 10 ** 5000, 10 ** 5000 - 1, 3 * 10 ** 9000 + 1,
+              2 ** 33333):
+        text = _decimal(n)
+        assert text == "0" or text[0] != "0"
+        assert Decimal(text) == n
+
+
+def test_bounds_print_values_past_the_int_to_str_digit_limit():
+    # 2^20002 has 6,022 digits: within the 10,000-digit cap, above the
+    # 4,300 digits str() accepts; json.loads needs parse_int to read them
+    args = ("bounds", "-q", "2", "-m", "20000", "-c", "1", "--eps", "1/2")
+    r = run_cli(*args, timeout=10)
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["kind"] == "exact" and Decimal(out["value"]) == 2 ** 20002
+
+    r = run_cli(*args, "--mode", "recursive", timeout=10)
+    assert r.returncode == 0
+    out = json.loads(r.stdout, parse_int=Decimal)
+    assert Decimal(out["value"]) == 2 ** 19999
+    assert out["trace"] == [{"c": 1, "m": 20000, "eps": "1/2", "r": None,
+                             "t": None, "value": 2 ** 19999}]
+
+    # T_2(33002): 2^33002 is exact, and it is the argument of T_1
+    r = run_cli("bounds", "-q", "2", "-m", "33000", "-c", "2", "--eps",
+                "1/2", timeout=10)
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert (out["kind"], out["height"]) == ("tower-symbolic", 1)
+    assert Decimal(out["arg"]) == 2 ** 33002
 
 
 def modules_loaded_by(argv):

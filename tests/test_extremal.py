@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import brute_force_ex
+from conftest import brute_force_ex, sparse_flat_by_scan, subset_geometry
 
 import qgeom.extremal
 from qgeom import (
@@ -25,6 +25,7 @@ from qgeom import (
     make_ag,
     make_g,
     make_pg,
+    pg_size,
     point_index,
 )
 from qgeom.embed import EmbedSearcher
@@ -221,6 +222,24 @@ def test_find_sparse_flat_examples():
     assert F is not None
     hit = [i for i in flat_points(F) if i in line_geom.point_set]
     assert len(hit) == 1
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (3, 4), (4, 3)])
+def test_find_sparse_flat_matches_the_scan_without_the_cut(q, n):
+    # random G of any density, and the dense G where the count decides: the
+    # whole space, and the space minus one point fewer than, or exactly,
+    # the pg_size(m) - pg_size(m-c) points a sparse flat needs off G
+    f = field_make(q)
+    rng = random.Random(10 * q + n)
+    total = pg_size(n, f)
+    for m in range(2, n + 1):
+        for c in range(1, m):
+            need = pg_size(m, f) - pg_size(m - c, f)
+            sizes = [total, total - need + 1, total - need]
+            for size in sizes + [rng.randint(0, total) for _ in range(6)]:
+                G = subset_geometry(f, n, rng.sample(range(total), size))
+                assert find_sparse_flat(G, m, c) == \
+                    sparse_flat_by_scan(G, m, c), (G.points, m, c)
 
 
 def test_duality_on_random_pg32_subsets():

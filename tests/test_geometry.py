@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import critical_exponent_by_flat_scan, subset_geometry
 
 from qgeom import (
     EmptyGeometry,
@@ -102,6 +104,26 @@ def test_critical_exponent_uses_span_not_ambient():
     # two of its three points leave the third as a disjoint rank-1 flat
     partial = Geometry(field=F2, ambient=4, points=(0, 1))
     assert critical_exponent(partial) == 1
+
+
+def test_critical_exponent_matches_the_flat_scan_on_every_pg22_subset():
+    for mask in range(1, 1 << 7):
+        H = subset_geometry(F2, 3, [i for i in range(7) if mask >> i & 1])
+        assert critical_exponent(H) == critical_exponent_by_flat_scan(H), \
+            H.points
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (2, 4), (4, 3)])
+def test_critical_exponent_matches_the_flat_scan_on_random_subsets(q, n):
+    # every size from one point to the whole space, so c runs over 1..n
+    f = field_make(q)
+    rng = random.Random(10 * q + n)
+    total = pg_size(n, f)
+    for _ in range(25):
+        for size in range(1, total + 1):
+            H = subset_geometry(f, n, rng.sample(range(total), size))
+            assert critical_exponent(H) == \
+                critical_exponent_by_flat_scan(H), H.points
 
 
 def test_critical_exponent_rejects_empty():
