@@ -48,7 +48,8 @@ def tower(c, s, digit_cap=DEFAULT_DIGIT_CAP):
     otherwise a tower-symbolic descriptor T_height(arg) whose remaining
     height counts the exponentiations still to apply to arg.
     """
-    assert c >= 0 and s >= 0
+    if c < 0 or s < 0:
+        raise ValueError("tower needs c >= 0 and s >= 0")
     bits_cap = _bits_cap(digit_cap)
     height, val = c, s
     while height > 0:
@@ -82,7 +83,8 @@ def r_mdhj_binary(m, eps):
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilon("eps must be positive")
-    assert m >= 2
+    if m < 2:
+        raise ValueError("r_mdhj_binary needs m >= 2")
     return 2 ** (m - 2) * _ceil_minus_log2(1, eps)
 
 
@@ -101,7 +103,8 @@ def r_main2_binary(m, c, eps, digit_cap=DEFAULT_DIGIT_CAP):
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilon("eps must be positive")
-    assert m > c >= 1
+    if not m > c >= 1:
+        raise ValueError("r_main2_binary needs m > c >= 1")
     inner = _ceil_minus_log2(2, eps)
     d = ceil_log2(inner)
     return tower(c, m + d, digit_cap=digit_cap)
@@ -136,7 +139,8 @@ def smallest_t(f, c, r, eps):
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilon("eps must be positive")
-    assert c >= 1 and r >= 1
+    if c < 1 or r < 1:
+        raise ValueError("smallest_t needs c >= 1 and r >= 1")
     q = f.q
     lhs = Fraction(q ** r - 1, q ** (c - 1))
     return _ceil_log(q ** r + lhs * 2 / eps, q) - 1
@@ -172,7 +176,8 @@ def r_main2_recursive(m, f, c, eps, base):
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilon("recursive epsilon dropped to a nonpositive value")
-    assert m >= 1 and c >= 1
+    if m < 1 or c < 1:
+        raise ValueError("r_main2_recursive needs m >= 1 and c >= 1")
     bits_cap = _bits_cap(DEFAULT_DIGIT_CAP)
     if m > bits_cap:
         raise Unsupported("rank %d at recursion level c=%d is above the "

@@ -10,10 +10,10 @@ guest point as soon as the prefix of basis images determines it.  Host
 candidates are tried in index order, so the returned witness is
 deterministic.
 
-The search calls no rref: a candidate is reduced against the echelon rows
-of the basis images chosen so far to test independence, and a dict from
-each host point's canonical vector to its index places each guest image
-(see find).
+The search calls no rref: a candidate is reduced by reduce_row, the one
+elimination step, against the echelon rows of the basis images chosen so
+far to test independence, and a dict from each host point's canonical
+vector to its index places each guest image (see find).
 
 Containment is defined up to projective equivalence, so the search need
 not visit embeddings that differ only by an automorphism of H.  Let b0 be
@@ -42,7 +42,7 @@ from operator import getitem
 
 from .errors import FieldMismatch
 from .geometry import span_coordinates
-from .projective import combine, point_index, point_vec, rref
+from .projective import combine, point_index, point_vec, reduce_row, rref
 
 
 class EmbeddingWitness(namedtuple("EmbeddingWitness", "map point_map")):
@@ -74,19 +74,22 @@ class EmbedSearcher:
         vecs = H.point_vecs()
         self.size = len(vecs)
 
-        basis_rows, basis = [], []
+        echelon, basis = [], []
         for j, v in enumerate(vecs):
-            cand, _ = rref(basis_rows + [v], H.ambient, f)
-            if len(cand) > len(basis_rows):
-                basis_rows.append(v)
+            new = reduce_row(v, echelon, f)
+            if new is not None:
+                echelon.append(new)
                 basis.append(j)
-        self.m = len(basis_rows)
+        m = self.m = len(basis)
         self.basis = basis  # guest position of each basis point; b0 is 0
 
-        # R = T @ B with R the canonical span basis; coords of v in B are
-        # (v at pivots) @ T because R is reduced echelon.
-        _, pivots, T = rref(basis_rows, H.ambient, f, transform=True)
-        self.basis_to_rref = T
+        # R = T @ B with R the canonical span basis, read off the RREF of
+        # the rows [b_j | e_j]; coords of v in B are (v at pivots) @ T
+        # because R is reduced echelon.
+        eye = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        R, pivots = rref([vecs[j] + e for j, e in zip(basis, eye)],
+                         H.ambient + m, f)
+        T = self.basis_to_rref = tuple(r[H.ambient:] for r in R)
         coords = []
         for v in vecs:
             y = [v[c] for c in pivots]
@@ -100,17 +103,6 @@ class EmbedSearcher:
             lvl = max(i for i in range(self.m) if a[i]) + 1
             levels[lvl].append(j)
         self.levels = levels
-
-        # Tables for find over GF(q).  shift[c][x][y] = x + c * y, one row
-        # per (c, x), so an affine update of a whole vector is a single map
-        # over its entries; drop[c] is shift[-c].  unit[c] scales a vector
-        # with leading entry c to leading 1, and the zero vector to itself.
-        add, mul = f.add_table, f.mul_table
-        scalars = range(f.q)
-        self.shift = [[[add[x][y] for y in row] for x in scalars]
-                      for row in mul]
-        self.drop = [self.shift[f.neg(c)] for c in scalars]
-        self.unit = [mul[0]] + [mul[f.inv(c)] for c in scalars[1:]]
 
         self.orbit, self.symmetries, self.orbit_steps = self._orbit(H, vecs)
 
@@ -131,7 +123,7 @@ class EmbedSearcher:
         cap = self.size * self.m * self.f.q
         used = 0
         known = set(vecs)
-        shift, unit = self.shift, self.unit
+        shift, unit = self.f.shift, self.f.unit
 
         def profile(j):
             # sorted |line(p, x) & H| over the guest points x != p, where p
@@ -236,7 +228,7 @@ class EmbedSearcher:
         """
         f = self.f
         m = self.m
-        mul, shift, drop, unit = f.mul_table, self.shift, self.drop, self.unit
+        mul, shift, unit = f.mul_table, f.shift, f.unit
         nonzero = range(1, f.q)
         # canonical vector -> index, in index order: the candidate order
         host = {point_vec(hi, host_ambient, f): hi for hi in host_order}
@@ -296,16 +288,10 @@ class EmbedSearcher:
                         images[j] = idx
                     else:
                         if r is None:
-                            r = w
-                            for p, row in echelon[:i]:
-                                if r[p]:
-                                    r = tuple(map(getitem, map(
-                                        drop[r[p]].__getitem__, r), row))
-                            lead = next(filter(None, r), 0)
-                            if not lead:
+                            r = reduce_row(w, echelon[:i], f)
+                            if r is None:
                                 break  # w is in span(w_0..w_(i-1))
-                            echelon[i] = (r.index(lead), tuple(
-                                map(unit[lead].__getitem__, r)))
+                            echelon[i] = r
                         scaled[i] = tuple(map(mul[lam].__getitem__, w))
                         if i + 1 < m:
                             hit = backtrack(i + 1)

@@ -87,26 +87,30 @@ def ex_exact(H, n, budget=None):
     chosen = []
     nodes = 0
     exhausted = False
-
-    def dfs(i):
-        nonlocal best, nodes, exhausted
-        if exhausted or nodes >= budget.node_cap or \
+    # The depth-first order on an explicit stack, since the depth reaches
+    # the number of points: an entry i >= 0 visits point i, and -1 undoes
+    # the include of the point chosen last, before its exclude branch.
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            chosen.pop()
+            continue
+        if nodes >= budget.node_cap or \
                 (deadline is not None and time.monotonic() > deadline):
             exhausted = True
-            return
+            break
         nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
         if i == total or len(chosen) + (total - i) <= len(best):
-            return
+            continue
+        if len(chosen) > 1:  # below two points, 2-transitivity fixes them
+            stack.append(i + 1)
         if searcher.find(frozenset(chosen) | {i}, n, anchor=i) is None:
             chosen.append(i)
-            dfs(i + 1)
-            chosen.pop()
-        if len(chosen) > 1:  # below two points, 2-transitivity fixes them
-            dfs(i + 1)
+            stack += (-1, i + 1)
 
-    dfs(0)
     witness = Geometry(field=f, ambient=n, points=tuple(best))
     if not is_free(witness, H):
         raise AssertionError("witness failed independent re-validation")
@@ -117,7 +121,8 @@ def ex_exact(H, n, budget=None):
 
 def bose_burton_value(m, n, f):
     """ex_q(PG(m-1, q); n) in closed form: the size of G(n-1, q, m-1)."""
-    assert 1 <= m <= n
+    if not 1 <= m <= n:
+        raise ValueError("bose_burton_value needs 1 <= m <= n")
     return g_size(n, f, m - 1)
 
 

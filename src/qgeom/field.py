@@ -122,11 +122,12 @@ class FieldSpec:
     modulus) and excluded from equality/hashing; field_make caches one
     instance per q anyway.  add_table[a][b] and mul_table[a][b] are a + b
     and a * b; inner loops index these rows directly instead of calling
-    add and mul.
+    add and mul.  shift[c][x][y] = x + c * y, so one map updates a whole
+    vector; unit[c] scales a vector led by c to a leading 1.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "_neg",
-                 "_inv", "_exp", "_log")
+    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "shift",
+                 "unit", "_neg", "_inv", "_exp", "_log")
 
     def __init__(self, p, k, q, modulus):
         mod = list(modulus) if k > 1 else [0, 1]
@@ -170,9 +171,12 @@ class FieldSpec:
         for a in range(1, q):
             inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
 
+        shift = [[[add[x][y] for y in row] for x in range(q)] for row in mul]
+        unit = [mul[0]] + [mul[inv[c]] for c in range(1, q)]
+
         for name, value in zip(self.__slots__, (p, k, q, modulus, add, mul,
-                                                neg, inv, tuple(exp),
-                                                tuple(log))):
+                                                shift, unit, neg, inv,
+                                                tuple(exp), tuple(log))):
             object.__setattr__(self, name, value)
 
     def _key(self):

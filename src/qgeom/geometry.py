@@ -22,6 +22,7 @@ from .projective import (
     pg_size,
     point_index,
     point_vec,
+    reduce_row,
     rref,
     span,
 )
@@ -132,7 +133,8 @@ def make_ag(m, f):
 
 def g_size(n, f, c):
     """|G(n-1, q, c)| = (q^n - q^(n-c))/(q - 1), exactly."""
-    assert 0 <= c <= n
+    if not 0 <= c <= n:
+        raise ValueError("g_size needs 0 <= c <= n")
     return (f.q ** n - f.q ** (n - c)) // (f.q - 1)
 
 
@@ -180,7 +182,6 @@ def critical_exponent(H):
     m, _, coords = span_coordinates(H)
     off = _listable_size(m, f) - len(coords)
     top = max(k for k in range(m) if pg_size(k, f) <= off)
-    add, mul = f.add_table, f.mul_table
     best = 0
 
     def grow(residues, pivots):
@@ -191,21 +192,11 @@ def critical_exponent(H):
             for tail in product(range(f.q), repeat=len(free)):
                 if best == top or len(pivots) + 1 + p <= best:
                     return
-                v = [0] * m
-                v[p] = 1
-                for j, x in zip(free, tail):
-                    v[j] = x
-                if tuple(v) in residues:
-                    continue
-                reduced = set()
-                for r in residues:
-                    if r[p]:  # r - r[p] * v, scaled to a leading 1
-                        drop = mul[f.neg(r[p])]
-                        r = [add[x][drop[y]] for x, y in zip(r, v)]
-                        scale = mul[f.inv(next(filter(None, r)))]
-                        r = tuple(map(scale.__getitem__, r))
-                    reduced.add(r)
-                grow(reduced, pivots + [p])
+                given = dict(zip(free, tail))
+                v = tuple(given.get(j, int(j == p)) for j in range(m))
+                if v not in residues:
+                    grow({reduce_row(r, ((p, v),), f)[1] for r in residues},
+                         pivots + [p])
 
     grow(set(coords), [])
     return m - best

@@ -11,12 +11,16 @@ table over the whole space is ever built.
 Flats are subspaces stored as reduced row-echelon bases, which are unique
 per subspace, so flats compare and hash structurally.  Rank here always
 means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
+
+reduce_row is the one elimination step over GF(q): rref, the embedding
+search and the critical-exponent search all reduce vectors through it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, product
+from operator import getitem
 
 from .errors import PointInFlat, ZeroVector
 
@@ -119,46 +123,41 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def rref(rows, n, f, transform=False):
-    """Reduced row echelon form over GF(q).
+def reduce_row(v, echelon, f):
+    """Reduce v against echelon rows: the one elimination step over GF(q).
 
-    Returns (rows, pivots) or, with transform=True, (rows, pivots, T)
-    where T satisfies result = T @ input (rows of T aligned with the
-    returned rows; only the rows kept are returned).
+    echelon holds (pivot, row) pairs, each row with a 1 at its pivot and a
+    0 at the pivots listed before it.  Returns (pivot, remainder scaled to
+    a leading 1), or None when v lies in the span of the rows.
     """
-    m = len(rows)
-    R = [list(r) for r in rows]
-    T = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots = []
-    pr = 0
-    for col in range(n):
-        piv = None
-        for i in range(pr, m):
-            if R[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        R[pr], R[piv] = R[piv], R[pr]
-        T[pr], T[piv] = T[piv], T[pr]
-        c = R[pr][col]
-        if c != 1:
-            s = f.inv(c)
-            R[pr] = [f.mul(s, x) for x in R[pr]]
-            T[pr] = [f.mul(s, x) for x in T[pr]]
-        for i in range(m):
-            if i != pr and R[i][col]:
-                factor = R[i][col]
-                R[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(R[i], R[pr])]
-                T[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(T[i], T[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == m:
+    shift, neg = f.shift, f.neg
+    for p, row in echelon:
+        if v[p]:
+            v = tuple(map(getitem, map(shift[neg(v[p])].__getitem__, v), row))
+    lead = next(filter(None, v), 0)
+    if not lead:
+        return None
+    v = tuple(map(f.unit[lead].__getitem__, v))
+    return v.index(1), v
+
+
+def rref(rows, n, f):
+    """Reduced row echelon form over GF(q): (rows, pivots), pivots rising.
+
+    Each row's remainder against the rows kept so far, if nonzero, is
+    cleared from them at its pivot and kept.  Once the rank reaches n, the
+    remaining rows are not read.
+    """
+    kept = []
+    for v in rows:
+        if len(kept) == n:
             break
-    out = tuple(tuple(r) for r in R[:pr])
-    if transform:
-        return out, tuple(pivots), tuple(tuple(t) for t in T[:pr])
-    return out, tuple(pivots)
+        new = reduce_row(v, kept, f)
+        if new is not None:
+            kept = [reduce_row(row, (new,), f) for _, row in kept]
+            kept.append(new)
+    kept.sort()
+    return tuple(r for _, r in kept), tuple(p for p, _ in kept)
 
 
 def span(vecs, n, f):
@@ -182,7 +181,8 @@ def flat_intersect(F1, F2):
     rows whose left half is zero; their right halves are a basis of the
     intersection, already in reduced echelon form.
     """
-    assert F1.n == F2.n and F1.field == F2.field, "ambient mismatch"
+    if F1.n != F2.n or F1.field != F2.field:
+        raise ValueError("flat_intersect needs flats of one ambient space")
     n, f = F1.n, F1.field
     rows = [a + a for a in F1.basis] + [b + (0,) * n for b in F2.basis]
     R, pivots = rref(rows, 2 * n, f)

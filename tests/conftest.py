@@ -3,7 +3,9 @@
 The extremal oracle enumerates every subset of the ground set outright; it
 shares only the freeness predicate with the library, never the search.
 The flat oracles list every flat of the rank in question and test each
-one, with no counting shortcut and no pruning.
+one, with no counting shortcut and no pruning.  The elimination oracle is
+a column-by-column Gauss-Jordan through the field's methods; it shares no
+code with the library's echelon step.
 """
 
 from itertools import combinations
@@ -44,6 +46,46 @@ def brute_force_ex(H, n):
         if size > best:
             best = size
     return best
+
+
+def rref_by_gauss_jordan(rows, n, f):
+    """Gauss-Jordan elimination over GF(q), column by column.
+
+    Returns (rows, pivots, T): the nonzero rows of the reduced row echelon
+    form, their pivot columns, and T with result = T @ input (rows of T
+    aligned with the returned rows).
+    """
+    m = len(rows)
+    R = [list(r) for r in rows]
+    T = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pivots = []
+    pr = 0
+    for col in range(n):
+        piv = None
+        for i in range(pr, m):
+            if R[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        R[pr], R[piv] = R[piv], R[pr]
+        T[pr], T[piv] = T[piv], T[pr]
+        c = R[pr][col]
+        if c != 1:
+            s = f.inv(c)
+            R[pr] = [f.mul(s, x) for x in R[pr]]
+            T[pr] = [f.mul(s, x) for x in T[pr]]
+        for i in range(m):
+            if i != pr and R[i][col]:
+                factor = R[i][col]
+                R[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(R[i], R[pr])]
+                T[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(T[i], T[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == m:
+            break
+    return (tuple(tuple(r) for r in R[:pr]), tuple(pivots),
+            tuple(tuple(t) for t in T[:pr]))
 
 
 def subset_geometry(f, n, indices):

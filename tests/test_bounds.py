@@ -6,11 +6,15 @@ import pytest
 from qgeom import (
     InvalidEpsilon,
     Unsupported,
+    bose_burton_value,
     field_make,
+    flat_intersect,
+    g_size,
     r_main2_binary,
     r_main2_recursive,
     r_mdhj_binary,
     smallest_t,
+    span,
     tower,
 )
 from qgeom.bounds import BoundValue, binary_base, ceil_log2
@@ -163,3 +167,33 @@ def test_invalid_epsilon():
         smallest_t(F2, 2, 3, Fraction(-1, 2))
     with pytest.raises(InvalidEpsilon):
         r_main2_recursive(3, F2, 2, Fraction(0), binary_base)
+
+
+# Arguments outside each function's domain; the checks raise ValueError,
+# not an assert, so they hold under python -O as well.
+BAD_ARGUMENTS = {
+    "g_size c > n": lambda: g_size(2, F2, 5),
+    "g_size c < 0": lambda: g_size(2, F2, -1),
+    "bose_burton_value m > n": lambda: bose_burton_value(3, 2, F2),
+    "tower c < 0": lambda: tower(-1, 3),
+    "tower s < 0": lambda: tower(2, -1),
+    "r_mdhj_binary m < 2": lambda: r_mdhj_binary(1, Fraction(1, 2)),
+    "r_main2_binary c >= m": lambda: r_main2_binary(3, 3, Fraction(1, 2)),
+    "r_main2_binary c < 1": lambda: r_main2_binary(3, 0, Fraction(1, 2)),
+    "smallest_t c < 1": lambda: smallest_t(F2, 0, 3, Fraction(1, 2)),
+    "smallest_t r < 1": lambda: smallest_t(F2, 2, 0, Fraction(1, 2)),
+    "r_main2_recursive m < 1": lambda: r_main2_recursive(
+        0, F2, 1, Fraction(1, 2), binary_base),
+    "r_main2_recursive c < 1": lambda: r_main2_recursive(
+        3, F2, 0, Fraction(1, 2), binary_base),
+    "flat_intersect across ambients": lambda: flat_intersect(
+        span([(1, 0)], 2, F2), span([(1, 0, 0)], 3, F2)),
+    "flat_intersect across fields": lambda: flat_intersect(
+        span([(1, 0)], 2, F2), span([(1, 0)], 2, field_make(3))),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_argument_checks_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

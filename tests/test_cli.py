@@ -107,6 +107,15 @@ def test_critical_loads_high_ambient_without_whole_space_tables(tmp_path):
     assert r.stdout.strip() == "1"
 
 
+def test_critical_of_ag_12_2_finishes_within_10_s(tmp_path):
+    # AG(12, 2): 4096 points spanning rank 13, reduced one at a time
+    path = tmp_path / "ag122.json"
+    run_cli("make", "ag", "-m", "13", "-q", "2", "-o", str(path))
+    r = run_cli("critical", str(path), timeout=10)
+    assert r.returncode == 0
+    assert r.stdout.strip() == "1"
+
+
 def test_critical_refuses_a_span_above_the_listing_limit(tmp_path):
     # e_0..e_20 span all of PG(20, 2): 2^21 - 1 points, above the limit
     path = tmp_path / "frame21.json"
@@ -126,6 +135,11 @@ def test_extremal_command(tmp_path):
     out = json.loads(r.stdout)
     assert out["value"] == 4 and out["status"] == "exact"
     assert len(out["witness"]["points"]) == 4
+    # PG(9, 2): the include/exclude search runs 1023 points deep
+    r = run_cli("extremal", str(forbid), "-n", "10", "--node-cap", "3000")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert (out["status"], out["nodes"]) == ("lower-bound", 3000)
 
 
 def test_density_command(tmp_path):

@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from conftest import rref_by_gauss_jordan
 
 from qgeom import (
     EmbeddingWitness,
@@ -180,13 +181,14 @@ def _brute_equivalent_subset(host, guest):
 def _full_rank_matrices(m, n, f):
     # every m x n matrix of rank m, up to a nonzero scalar factor (which
     # maps points alike): the first row runs over canonical vectors, and
-    # each later row over the vectors that raise the rank under rref
+    # each later row over the vectors that raise the rank under the
+    # Gauss-Jordan oracle, which shares no code with the search
     rows = list(product(range(f.q), repeat=n))
     first_rows = [r for r in rows if any(r) and canonical_vec(r, f) == r]
 
     def extend(M):
         for r in first_rows if not M else rows:
-            if len(rref(M + [r], n, f)[0]) == len(M):
+            if len(rref_by_gauss_jordan(M + [r], n, f)[0]) == len(M):
                 continue
             if len(M) + 1 == m:
                 yield M + [r]
@@ -214,6 +216,52 @@ def _times(a, M, f):
         if ai:
             v = [add[x][mul[ai][y]] for x, y in zip(v, row)]
     return v
+
+
+def _random_rows(f, rng):
+    # up to 7 rows of length 1 to 5: half of the time free entries, half
+    # of the time combinations of at most 3 rows, so rank-deficient inputs
+    # and zero rows are common
+    n, count = rng.randint(1, 5), rng.randint(0, 7)
+    if rng.random() < 0.5:
+        return n, [tuple(rng.randrange(f.q) for _ in range(n))
+                   for _ in range(count)]
+    gens = [[rng.randrange(f.q) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))]
+    return n, [tuple(_times([rng.randrange(f.q) for _ in gens], gens, f))
+               for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_elimination_matches_gauss_jordan_oracle(q):
+    # rref, span_coordinates and the searcher's basis, coordinates and
+    # basis-to-RREF matrix, each against the Gauss-Jordan oracle
+    f = field_make(q)
+    rng = random.Random(q)
+    cases = [(3, []), (3, [(0, 0, 0)] * 2)] + \
+        [_random_rows(f, rng) for _ in range(40)]
+    for n, rows in cases:
+        R, pivots, _ = rref_by_gauss_jordan(rows, n, f)
+        assert rref(rows, n, f) == (R, pivots), rows
+
+        points = {point_index(v, n, f) for v in rows if any(v)}
+        H = Geometry(field=f, ambient=n, points=tuple(points))
+        vecs = H.point_vecs()
+        R, pivots, _ = rref_by_gauss_jordan(vecs, n, f)
+        assert span_coordinates(H) == (
+            len(R), pivots, [tuple(v[c] for c in pivots) for v in vecs])
+
+        basis = []
+        for j, v in enumerate(vecs):
+            rows_so_far = [vecs[k] for k in basis] + [v]
+            if len(rref_by_gauss_jordan(rows_so_far, n, f)[0]) > len(basis):
+                basis.append(j)
+        _, pivots, T = rref_by_gauss_jordan([vecs[j] for j in basis], n, f)
+        searcher = EmbedSearcher(H)
+        assert searcher.basis == basis
+        assert searcher.basis_to_rref == T
+        assert searcher.coords == [
+            tuple(_times([v[c] for c in pivots], T, f)) for v in vecs]
 
 
 def _random_spanning_guest(f, m, rng):

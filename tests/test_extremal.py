@@ -108,6 +108,13 @@ def test_ex_exact_counts_only_visited_nodes():
         assert res.nodes == cap
 
 
+def test_ex_exact_depth_is_not_bound_by_the_call_stack():
+    # PG(9, 2) has 1023 points, and the include branch goes one level
+    # deeper per point; the result is the recursive search's
+    res = ex_exact(make_pg(2, F2), 10, budget=Budget(node_cap=3000))
+    assert (res.value, res.status, res.nodes) == (512, "lower-bound", 3000)
+
+
 def test_ex_exact_witness_contract():
     H = make_pg(2, F2)
     res = ex_exact(H, 3)
