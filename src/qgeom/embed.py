@@ -42,7 +42,14 @@ from operator import getitem
 
 from .errors import FieldMismatch
 from .geometry import span_coordinates
-from .projective import combine, point_index, point_vec, reduce_row, rref
+from .projective import (
+    canonical_vec,
+    combine,
+    point_index,
+    point_vec,
+    reduce_row,
+    rref,
+)
 
 
 class EmbeddingWitness(namedtuple("EmbeddingWitness", "map point_map")):
@@ -119,27 +126,20 @@ class EmbedSearcher:
         differs from b0's cannot be in the orbit, so it gets no search.
         Returns the orbit, the permutations and the candidate steps used.
         """
+        f = self.f
         orbit, perms = {0}, []
-        cap = self.size * self.m * self.f.q
+        cap = self.size * self.m * f.q
         used = 0
         known = set(vecs)
-        shift, unit = self.f.shift, self.f.unit
 
         def profile(j):
             # sorted |line(p, x) & H| over the guest points x != p, where p
             # is point j: automorphisms carry lines to lines, so two points
             # in one orbit have the same profile.  Costs |H| * q * ambient.
             p = vecs[j]
-            sizes = []
-            for k, x in enumerate(vecs):
-                if k != j:
-                    on = 1
-                    for row in shift:  # x + c * p for each scalar c
-                        v = tuple(map(getitem, map(row.__getitem__, x), p))
-                        lead = unit[next(filter(None, v))]
-                        on += tuple(map(lead.__getitem__, v)) in known
-                    sizes.append(on)
-            return sorted(sizes)
+            return sorted(1 + sum(canonical_vec(combine((1, c), (x, p), f), f)
+                                  in known for c in range(f.q))
+                          for k, x in enumerate(vecs) if k != j)
 
         base = profile(0) if vecs else None  # the empty guest has no point 0
         position = {p: j for j, p in enumerate(H.points)}

@@ -27,8 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .embed import EmbedSearcher, contains
-from .errors import EmptyGeometry, FieldMismatch
-from .geometry import Geometry, critical_exponent, g_size
+from .errors import EmptyGeometry
+from .geometry import Geometry, _listable_size, critical_exponent, g_size
 from .projective import (
     iter_flats,
     flat_points,
@@ -60,9 +60,7 @@ class DensityRow(namedtuple("DensityRow",
 
 
 def is_free(S, H):
-    """True iff S contains no restriction of H."""
-    if S.field != H.field:
-        raise FieldMismatch("geometries over different fields")
+    """True iff S contains no restriction of H (FieldMismatch as contains)."""
     return contains(S, H) is None
 
 
@@ -71,16 +69,17 @@ def ex_exact(H, n, budget=None):
 
     Exact unless the budget runs out, in which case the best set found so
     far is reported with status "lower-bound".  The empty geometry is
-    contained in every set, so no H-free set exists for it.
+    contained in every set, so no H-free set exists for it.  A space of
+    more than MAX_LISTED_POINTS points raises ValueError.
     """
     if n < 1:
         raise ValueError("ex_exact needs n >= 1")
     if not H.points:
         raise EmptyGeometry("ex_exact of the empty geometry")
     f = H.field
+    total = _listable_size(n, f)
     budget = budget or Budget()
     searcher = EmbedSearcher(H)
-    total = pg_size(n, f)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []
@@ -133,12 +132,13 @@ def find_sparse_flat(G, m, c):
     pg_size(m) - pg_size(m-c) of its points lie off G: when the ambient
     has fewer points off G, None is returned at once.  Otherwise flats are
     enumerated lazily; returns the first hit or None after exhausting all
-    rank-m flats.
+    rank-m flats.  An ambient of more than MAX_LISTED_POINTS points raises
+    ValueError.
     """
     if not 1 <= c < m <= G.ambient:
         raise ValueError("sparse-flat needs 1 <= c < m <= ambient rank")
     f, n = G.field, G.ambient
-    if pg_size(n, f) - len(G) < pg_size(m, f) - pg_size(m - c, f):
+    if _listable_size(n, f) - len(G) < pg_size(m, f) - pg_size(m - c, f):
         return None
     gset = G.point_set
     for F in iter_flats(n, f, m):
@@ -151,12 +151,18 @@ def find_sparse_flat(G, m, c):
 
 
 def density_table(H, n_range, budget=None):
-    """One DensityRow per rank in n_range, with the exact limit 1 - q^(1-c)."""
+    """One DensityRow per rank in n_range, with the exact limit 1 - q^(1-c).
+
+    Every rank is checked against the listing limit before any search runs.
+    """
     rows = []
-    n_list = list(n_range)
+    f = H.field
+    n_list = []
+    for n in n_range:
+        _listable_size(n, f)
+        n_list.append(n)
     if not n_list:
         return rows
-    f = H.field
     c = critical_exponent(H)
     limit = 1 - Fraction(1, f.q ** (c - 1))
     for n in n_list:

@@ -11,8 +11,10 @@ serialized files are reproducible across runs:
     GF(9)  : x^2 + 2x + 2
     GF(16) : x^4 + x + 1
 
-Multiplication and inversion go through log/antilog tables built once at
-construction time; addition is digit-wise mod p (a plain XOR when p = 2).
+FieldSpec builds its addition and multiplication tables once, straight
+from these digits: addition is digit-wise mod p (a plain XOR when p = 2)
+and multiplication is the polynomial product reduced mod the modulus.
+Negation and inversion are read off the table rows.
 """
 
 from __future__ import annotations
@@ -86,35 +88,6 @@ def _poly_mul_mod(a, b, modulus, p):
     return prod[:k] + [0] * (k - len(prod))
 
 
-def _poly_divmod(num, den, p):
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    quot = [0] * max(len(num) - dd, 1)
-    for deg in range(len(num) - 1, dd - 1, -1):
-        c = num[deg]
-        if c:
-            f = (c * inv_lead) % p
-            quot[deg - dd] = f
-            for i in range(dd + 1):
-                num[deg - dd + i] = (num[deg - dd + i] - f * den[i]) % p
-    return quot, num
-
-
-def is_irreducible(modulus, p):
-    """Trial division by every lower-degree polynomial over GF(p)."""
-    k = len(modulus) - 1
-    if k < 1 or modulus[-1] == 0:
-        return False
-    for deg in range(1, k):
-        for code in range(p ** deg, p ** (deg + 1)):
-            den = _digits(code, p, deg + 1)
-            _, rem = _poly_divmod(modulus, den, p)
-            if not any(rem):
-                return False
-    return True
-
-
 class FieldSpec:
     """Immutable description of GF(q) plus its arithmetic tables.
 
@@ -127,56 +100,27 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "shift",
-                 "unit", "_neg", "_inv", "_exp", "_log")
+                 "unit", "_neg", "_inv")
 
     def __init__(self, p, k, q, modulus):
+        digits = [_digits(a, p, k) for a in range(q)]
         mod = list(modulus) if k > 1 else [0, 1]
-
-        def mul_raw(a, b):
-            if k == 1:
-                return (a * b) % p
-            prod = _poly_mul_mod(_digits(a, p, k), _digits(b, p, k), mod, p)
-            return _code(prod, p)
-
-        # Find a multiplicative generator, then build log/antilog tables.
-        gen = None
-        for g in range(2 if q > 2 else 1, q):
-            x, order = g, 1
-            while x != 1:
-                x = mul_raw(x, g)
-                order += 1
-            if order == q - 1:
-                gen = g
-                break
-        exp = [0] * (q - 1)
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = mul_raw(x, gen)
-
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = _digits(a, p, k)
-            for b in range(q):
-                db = _digits(b, p, k)
-                add[a][b] = _code([(x + y) % p for x, y in zip(da, db)], p)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            for b in range(1, q):
-                mul[a][b] = exp[(log[a] + log[b]) % (q - 1)]
-        neg = [_code([(-d) % p for d in _digits(a, p, k)], p) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
+        add = [[_code([(x + y) % p for x, y in zip(da, db)], p)
+                for db in digits] for da in digits]
+        mul = [[_code(_poly_mul_mod(da, db, mod, p), p) for db in digits]
+               for da in digits]
+        # a nonzero row without a 1 is a zero divisor: the modulus factors
+        if any(1 not in row for row in mul[1:]):
+            raise ValueError("modulus %r is reducible over GF(%d)"
+                             % (tuple(modulus), p))
+        neg = [row.index(0) for row in add]
+        inv = [0] + [row.index(1) for row in mul[1:]]
 
         shift = [[[add[x][y] for y in row] for x in range(q)] for row in mul]
         unit = [mul[0]] + [mul[inv[c]] for c in range(1, q)]
 
         for name, value in zip(self.__slots__, (p, k, q, modulus, add, mul,
-                                                shift, unit, neg, inv,
-                                                tuple(exp), tuple(log))):
+                                                shift, unit, neg, inv)):
             object.__setattr__(self, name, value)
 
     def _key(self):
@@ -224,19 +168,17 @@ class FieldSpec:
 def field_make(q: int) -> FieldSpec:
     """Construct GF(q) with the frozen canonical modulus.
 
-    Raises NotPrimePower when q is not a prime power, Unsupported when
-    q exceeds the cap of 16.
+    Raises Unsupported when q exceeds the cap of 16, before q is factored,
+    so no q read from a file or argv costs a trial division; below the
+    cap, raises NotPrimePower when q is not a prime power.
     """
+    if q > MAX_Q:
+        raise Unsupported("q = %d exceeds the supported cap %d" % (q, MAX_Q))
     pk = _prime_power(q)
     if pk is None:
         raise NotPrimePower("q = %d is not a prime power" % q)
-    if q > MAX_Q:
-        raise Unsupported("q = %d exceeds the supported cap %d" % (q, MAX_Q))
     p, k = pk
-    modulus = _MODULI[q] if k > 1 else ()
-    if k > 1 and not is_irreducible(list(modulus), p):
-        raise AssertionError("modulus table entry for q=%d is reducible" % q)
-    return FieldSpec(p=p, k=k, q=q, modulus=modulus)
+    return FieldSpec(p=p, k=k, q=q, modulus=_MODULI[q] if k > 1 else ())
 
 
 def fe_add(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:

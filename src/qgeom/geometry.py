@@ -87,18 +87,23 @@ class Geometry:
         raise AttributeError("Geometry is immutable")
 
 
-# make_pg, make_g and complement_geometry list every point of the space and
-# refuse a larger one instead of allocating; PG(6, 9), 597871 points, fits.
+# Every operation over a whole space (make_pg, make_g, complement_geometry,
+# critical_exponent, ex_exact, density_table, find_sparse_flat) refuses one
+# above this many points instead of allocating; PG(6, 9), 597871 points, fits.
 MAX_LISTED_POINTS = 2 ** 20
 
 
 def _listable_size(m, f):
-    """pg_size(m, f), or ValueError above MAX_LISTED_POINTS points."""
-    total = pg_size(m, f)
-    if total > MAX_LISTED_POINTS:
-        raise ValueError("PG(%d, %d) has %d points, above the limit of %d"
-                         % (m - 1, f.q, total, MAX_LISTED_POINTS))
-    return total
+    """pg_size(m, f), or ValueError above MAX_LISTED_POINTS points.
+
+    pg_size(m, f) >= 2^(m-1), so a rank m past the bit length of the limit
+    is refused before q^m is built.
+    """
+    if m > MAX_LISTED_POINTS.bit_length() or \
+            pg_size(m, f) > MAX_LISTED_POINTS:
+        raise ValueError("PG(%d, %d) is above the limit of %d points"
+                         % (m - 1, f.q, MAX_LISTED_POINTS))
+    return pg_size(m, f)
 
 
 def _points_outside(m, f, inside):

@@ -38,13 +38,10 @@ class Flat(namedtuple("Flat", "basis n field")):
 
 def canonical_vec(v, f):
     """Scale v so its first nonzero coordinate is 1."""
-    for c in v:
-        if c:
-            if c == 1:
-                return tuple(v)
-            s = f.inv(c)
-            return tuple(f.mul(s, x) for x in v)
-    raise ZeroVector("cannot canonicalize the zero vector")
+    lead = next(filter(None, v), 0)
+    if not lead:
+        raise ZeroVector("cannot canonicalize the zero vector")
+    return tuple(map(f.unit[lead].__getitem__, v))
 
 
 def iter_canonical_vectors(n, f):
@@ -102,10 +99,8 @@ def combine(coeffs, rows, f):
     out = (0,) * len(rows[0])
     for a, row in zip(coeffs, rows):
         if a:
-            if a != 1:
-                row = [f.mul(a, y) for y in row]
-            out = [f.add(x, y) for x, y in zip(out, row)]
-    return tuple(out)
+            out = tuple(map(getitem, map(f.shift[a].__getitem__, out), row))
+    return out
 
 
 def pg_size(n, f):

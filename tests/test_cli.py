@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import resource
 import subprocess
 import sys
 from decimal import Decimal
@@ -91,10 +92,33 @@ def test_invalid_input_exits_2(tmp_path):
                  ["critical", str(top_list)],
                  ["critical", str(list_coord)],
                  ["extremal", str(empty), "-n", "2"],
-                 ["make", "pg", "-m", "8", "-q", "16"]):
+                 ["make", "pg", "-m", "8", "-q", "16"],
+                 ["make", "pg", "-m", "3", "-q", "2305843009213693951"]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert "error" in json.loads(r.stderr), argv
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_oversized_spaces_are_refused_before_q_to_the_n_is_built(tmp_path):
+    # each of these needs q^n for a rank n in the billions: with a 512 MB
+    # cap, building it is a MemoryError, so exit 2 shows it was never built
+    line = tmp_path / "line.json"
+    run_cli("make", "pg", "-m", "2", "-q", "2", "-o", str(line))
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], '
+                    '"ambient": 1000000000000, "points": []}')
+    for argv in (["make", "pg", "-m", "1000000000000", "-q", "2"],
+                 ["extremal", str(line), "-n", "100000000000"],
+                 ["sparse-flat", str(huge), "-m", "2", "-c", "1"],
+                 ["density", str(line), "--n-min", "2",
+                  "--n-max", "100000000000"]):
+        r = run_cli(*argv, timeout=20, preexec_fn=_cap_address_space)
+        assert r.returncode == 2, (argv, r.stderr)
+        assert json.loads(r.stderr)["error"] == "ValueError", argv
 
 
 def test_critical_loads_high_ambient_without_whole_space_tables(tmp_path):

@@ -60,6 +60,24 @@ def test_is_free_field_mismatch():
         is_free(make_pg(2, F2), make_pg(2, F3))
 
 
+def test_whole_space_operations_share_the_listing_limit(monkeypatch):
+    # PG(21, 2) has 2^22 - 1 points; rank 10^12 is refused before q^n
+    line = make_pg(2, F2)
+    with pytest.raises(ValueError, match="above the limit"):
+        ex_exact(line, 22)
+    with pytest.raises(ValueError, match="above the limit"):
+        ex_exact(line, 10 ** 12)
+    with pytest.raises(ValueError, match="above the limit"):
+        find_sparse_flat(Geometry(field=F2, ambient=10 ** 12, points=()), 2, 1)
+    # the whole range is checked before the first search runs
+    calls = []
+    monkeypatch.setattr(qgeom.extremal, "ex_exact",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="above the limit"):
+        density_table(line, range(2, 10 ** 11))
+    assert calls == []
+
+
 def test_ex_exact_examples():
     assert ex_exact(make_pg(2, F2), 3).value == 4
     assert ex_exact(make_ag(2, F3), 2).value == 2

@@ -1,10 +1,10 @@
 import pytest
 
-from qgeom import DivisionByZero, NotPrimePower, Unsupported, field_make
-from qgeom.field import _MODULI, fe_add, fe_inv, fe_mul, is_irreducible
+from qgeom import DivisionByZero, FieldSpec, NotPrimePower, Unsupported
+from qgeom import field_make
+from qgeom.field import _MODULI, fe_add, fe_inv, fe_mul
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
-AXIOM_GRID = [2, 3, 4, 5, 7, 8, 9, 16]
 
 
 def test_field_make_prime():
@@ -30,14 +30,36 @@ def test_field_make_rejects_large():
         field_make(17)
     with pytest.raises(Unsupported):
         field_make(25)
+    # refused before q is factored: 2^61 - 1 is a prime, and 18 is not a
+    # prime power
+    with pytest.raises(Unsupported):
+        field_make(2 ** 61 - 1)
+    with pytest.raises(Unsupported):
+        field_make(18)
 
 
 def test_moduli_are_irreducible():
+    # a reducible modulus leaves a zero divisor: a nonzero row of the
+    # built multiplication table without a 1
     for q, mod in _MODULI.items():
-        p = field_make(q).p
-        assert is_irreducible(list(mod), p)
+        f = field_make(q)
+        assert f.modulus == mod
+        assert all(1 in row for row in f.mul_table[1:])
     # and a reducible control: x^2 + 1 = (x+1)^2 over GF(2)
-    assert not is_irreducible([1, 0, 1], 2)
+    with pytest.raises(ValueError):
+        FieldSpec(2, 2, 4, (1, 0, 1))
+
+
+@pytest.mark.parametrize("q", sorted(_MODULI))
+def test_element_codes_follow_the_frozen_modulus(q):
+    # x is the code p and x^(k-1) the code p^(k-1); their product x^k is
+    # minus the low coefficients of the modulus (GF(9): x * x = x + 1, code 4)
+    f = field_make(q)
+    p, k, mod = f.p, f.k, _MODULI[q]
+    expect = sum((-c) % p * p ** i for i, c in enumerate(mod[:-1]))
+    assert fe_mul(f, p, p ** (k - 1)) == expect
+    if q == 9:
+        assert expect == 4
 
 
 def test_gf2_addition_is_xor():
@@ -61,7 +83,7 @@ def test_inverse_of_zero_raises():
         fe_inv(field_make(7), 0)
 
 
-@pytest.mark.parametrize("q", AXIOM_GRID)
+@pytest.mark.parametrize("q", SUPPORTED)
 def test_field_axioms_exhaustive(q):
     f = field_make(q)
     elems = range(q)
@@ -80,7 +102,7 @@ def test_field_axioms_exhaustive(q):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-@pytest.mark.parametrize("q", AXIOM_GRID)
+@pytest.mark.parametrize("q", SUPPORTED)
 def test_frobenius_is_additive(q):
     f = field_make(q)
 
@@ -98,6 +120,19 @@ def test_frobenius_is_additive(q):
 
 @pytest.mark.parametrize("q", SUPPORTED)
 def test_log_antilog_tables_consistent(q):
+    # log/antilog tables built here from a generator of the multiplicative
+    # group: the library's multiplication and inverse must agree with them
     f = field_make(q)
+    for g in range(1, q):
+        exp = [1]  # exp[i] = g^i
+        for _ in range(q - 2):
+            exp.append(f.mul(exp[-1], g))
+        if len(set(exp)) == q - 1:
+            break
+    assert len(set(exp)) == q - 1
+    log = {x: i for i, x in enumerate(exp)}
     for a in range(1, q):
-        assert f._exp[f._log[a]] == a
+        assert exp[log[a]] == a
+        assert f.inv(a) == exp[-log[a] % (q - 1)]
+        for b in range(1, q):
+            assert f.mul(a, b) == exp[(log[a] + log[b]) % (q - 1)]
