@@ -16,18 +16,25 @@ far to test independence, and a dict from each host point's canonical
 vector to its index places each guest image (see find).
 
 Containment is defined up to projective equivalence, so the search need
-not visit embeddings that differ only by an automorphism of H.  Let b0 be
-the first basis point, which is guest point 0, and O its orbit under a
-group K of automorphisms of H.  find keeps only embeddings in which b0's
-image has the least host index among the images of O.  This is sound for
-any subgroup K: given an embedding phi, pick g in O whose image phi(g) has
-the least index and sigma in K with sigma(b0) = g; then phi o sigma has
-the same image set and obeys the rule, since sigma(O) = O.  Nor does it
-change the witness: the first embedding in candidate order has the least
-possible image of b0, because if some g in O mapped lower, phi o sigma
-would be an earlier embedding.  The searcher builds O once: K is generated
-by the automorphisms that self-searches of H into H find within a budget
-of |H| * rank * q candidate steps (see _orbit).
+not visit embeddings that differ only by an automorphism of H.  Let b_l be
+basis point l (b0 is guest point 0) and O_l its orbit under a group K_l of
+automorphisms of H that fix b_0..b_(l-1) as vectors, with K_0 >= K_1 >= ...
+find keeps only embeddings in which, at every level l, b_l's image has the
+least host index among the images of O_l.  This is sound for any such
+subgroups: given an embedding phi, pick g in O_0 whose image has the least
+index and sigma in K_0 with sigma(b_0) = g; phi o sigma has the same image
+set and obeys the level-0 rule.  Then pick tau in K_1 in the same way for
+level 1 and compose again: tau fixes b_0 as a vector and maps O_0 onto
+itself, so b_0's image, its scalar and the level-0 rule stay; and so on
+down the levels.  Nor does the rule change the witness: the first
+embedding in candidate order obeys every level, because if some g in O_l
+mapped below b_l, composing with sigma in K_l taking b_l to g would give
+an embedding with the same images and scalars at the levels before l and
+a lower image at level l, so an earlier one.  Over GF(2) a vector is a
+point, and K_l just fixes the points b_0..b_(l-1).  The searcher builds
+the chain once: K_l is generated by the automorphisms that self-searches
+of H into H find with b_0..b_(l-1) pinned to themselves, all levels within
+one budget of |H| * rank * q candidate steps (see _chain).
 
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
@@ -111,59 +118,113 @@ class EmbedSearcher:
             levels[lvl].append(j)
         self.levels = levels
 
-        self.orbit, self.symmetries, self.orbit_steps = self._orbit(H, vecs)
+        # Rule tables for the three uses: the self-searches (no rule), find
+        # (every level) and find anchored at b0 (every level below 0).
+        off = frozenset()
+        self._no_rules = self._rule_table((off,) * self.m)
+        self.orbits, self.symmetries, self.orbit_steps = self._chain(H, vecs)
+        self.orbit = self.orbits[0] if self.m else off
+        self._rules = self._rule_table(self.orbits)
+        self._anchored_rules = self._rule_table((off,) + self.orbits[1:])
 
-    def _orbit(self, H, vecs):
-        """Orbit of b0 under the automorphisms of H that self-searches find.
+    def _chain(self, H, vecs):
+        """Orbits O_l of the basis points down a chain of stabilizers.
 
-        For each guest point g not yet in the orbit, H is searched into
-        itself with b0's image fixed to g, without the orbit rule.  A hit
-        maps H onto itself: it is a point permutation of H (position j goes
-        to position perm[j]), and the orbit is closed under every one
-        found.  All these searches share one budget of |H| * m * q
-        candidate steps; when it runs out the orbit found so far stands,
-        which the rule allows for any subgroup.  A point whose line profile
-        differs from b0's cannot be in the orbit, so it gets no search.
-        Returns the orbit, the permutations and the candidate steps used.
+        Level by level, for each guest point g outside span(b_0..b_(l-1))
+        not yet in O_l, H is searched into itself without the rule, with
+        b_k pinned to itself with scalar 1 for k < l and b_l pinned to g.
+        A hit maps H onto itself fixing b_0..b_(l-1) as vectors: it is a
+        point permutation of H (position j goes to position perm[j]) in
+        K_l, and O_l is closed under every one found at level l.  A point
+        whose line counts differ from b_l's cannot be in O_l, so it gets no
+        search: at level 0 the counts are the sorted |line(p, x) & H| over
+        the guest points x other than p, below it |line(b_k, p) & H| for
+        each k < l.  So a level whose searches all run gets the whole orbit
+        of b_l under the automorphisms that fix b_0..b_(l-1) as vectors.
+        All these searches share one budget of |H| * m * q candidate steps;
+        when it runs out the orbits found so far stand, which the rule
+        allows for any subgroups, and the deeper levels keep only their own
+        basis point.  Returns the orbits, the permutations and the
+        candidate steps used.
         """
         f = self.f
-        orbit, perms = {0}, []
+        basis, coords = self.basis, self.coords
         cap = self.size * self.m * f.q
         used = 0
         known = set(vecs)
-
-        def profile(j):
-            # sorted |line(p, x) & H| over the guest points x != p, where p
-            # is point j: automorphisms carry lines to lines, so two points
-            # in one orbit have the same profile.  Costs |H| * q * ambient.
-            p = vecs[j]
-            return sorted(1 + sum(canonical_vec(combine((1, c), (x, p), f), f)
-                                  in known for c in range(f.q))
-                          for k, x in enumerate(vecs) if k != j)
-
-        base = profile(0) if vecs else None  # the empty guest has no point 0
         position = {p: j for j, p in enumerate(H.points)}
-        for g in range(1, self.size):
-            if g in orbit or profile(g) != base:
-                continue
-            try:
-                hit, steps = self._search(H.points, H.ambient, (),
-                                          (H.points[g],), cap - used)
-            except _OutOfSteps:
-                used = cap
-                break
-            used += steps
-            if hit is None:
-                continue
-            perms.append(tuple(position[p] for p in hit.point_map))
-            todo = list(orbit)
-            while todo:
-                j = todo.pop()
-                for perm in perms:
-                    if perm[j] not in orbit:
-                        orbit.add(perm[j])
-                        todo.append(perm[j])
-        return frozenset(orbit), perms, used
+        orbits = [frozenset((b,)) for b in basis]
+        perms = []
+
+        def on_line(j, x):
+            # |line(p, x) & H| where p is point j: automorphisms carry lines
+            # to lines, so they keep these counts.  Costs q * ambient.
+            p = vecs[j]
+            return 1 + sum(canonical_vec(combine((1, c), (x, p), f), f)
+                           in known for c in range(f.q))
+
+        try:
+            for level, b in enumerate(basis):
+                if level == 0:
+                    def counts(g):
+                        return sorted(on_line(g, x)
+                                      for k, x in enumerate(vecs) if k != g)
+                else:
+                    def counts(g):
+                        return [on_line(basis[k], vecs[g])
+                                for k in range(level)]
+                base = counts(b)
+                prefix = tuple(H.points[basis[k]] for k in range(level))
+                first = len(perms)  # this level's permutations start here
+                orbit = {b}
+                for g in range(self.size):
+                    if g in orbit or not any(coords[g][level:]) or \
+                            counts(g) != base:
+                        continue
+                    hit, steps = self._search(
+                        H.points, H.ambient, self._no_rules,
+                        prefix + (H.points[g],), cap - used)
+                    used += steps
+                    if hit is None:
+                        continue
+                    perms.append(tuple(position[p] for p in hit.point_map))
+                    todo = list(orbit)
+                    while todo:
+                        j = todo.pop()
+                        for perm in perms[first:]:
+                            if perm[j] not in orbit:
+                                orbit.add(perm[j])
+                                todo.append(perm[j])
+                    orbits[level] = frozenset(orbit)
+        except _OutOfSteps:
+            used = cap
+        return tuple(orbits), perms, used
+
+    def _rule_table(self, orbits):
+        """The rule for the given per-level orbits, in the form _search reads.
+
+        An empty orbit turns its level's rule off.  Every point of O_l but
+        b_l must map above b_l's image.  A point in the orbits of several
+        levels is held only to the deepest one's bound, the highest: that
+        level's basis point lies in the shallower orbits too, since _chain
+        finds a shallower orbit whole whenever it goes deeper, so it
+        already maps above their basis points.  Checking fewer bounds can
+        only keep more embeddings, so this is sound in any case.  A bound is
+        given as a slot of _search's images list: the basis point that sets
+        it, or slot |H|, which holds -1 and bounds nothing.  Returns the
+        orbits, the slot bounding b_i's candidates at each level i, and at
+        each level the guest points checked there, each with its slot.
+        """
+        basis = self.basis
+
+        def slot(j, deepest):
+            return next((basis[k] for k in range(deepest, -1, -1)
+                         if j in orbits[k]), self.size)
+
+        starts = tuple(slot(b, i - 1) for i, b in enumerate(basis))
+        checks = tuple(tuple((j, slot(j, i)) for j in self.levels[i + 1]
+                             if j != basis[i]) for i in range(self.m))
+        return orbits, starts, checks
 
     def find(self, host_indices, host_ambient, anchor=None):
         """Search for an embedding into the given host point set.
@@ -185,20 +246,22 @@ class EmbedSearcher:
         and memory grow with the host and the ambient rank, never with
         q^rank.
 
-        The orbit rule (see the module docstring) cuts twice at levels
-        i >= 1: a check of a guest point in the orbit fails when its image
-        has a lower index than b0's, and when basis point b_i is in the
-        orbit only host points above b0's image are tried for it.  Neither
-        cut removes the first embedding in candidate order, so the witness
-        is the one the search without the rule returns.
+        The rule (see the module docstring) cuts twice at each level i: a
+        check of a guest point in some O_l fails when its image is at or
+        below b_l's, and when basis point b_i is in some O_l with l < i,
+        only host points above b_l's image are tried for it.  Neither cut
+        removes the first embedding in candidate order, so the witness is
+        the one the search without the rule returns.  The tables of these
+        bounds are built once per searcher (see _rule_table).
 
-        With an anchor, a guest whose found orbit is all of its points has
-        b0 mapped to the anchor and the rule turned off: if phi(g) is the
-        anchor, pick sigma in K with sigma(b0) = g, and phi o sigma has the
-        same image set and maps b0 to the anchor.  Any other guest keeps
-        the rule and accepts only a full embedding whose image contains the
-        anchor; every embedding the rule drops has the image set of one it
-        keeps, so this too misses no image set.
+        With an anchor, a guest whose found O_0 is all of its points has
+        b0 pinned to the anchor and the level-0 rule turned off: if phi(g)
+        is the anchor, pick sigma in K_0 with sigma(b0) = g, and phi o sigma
+        has the same image set and maps b0 to the anchor.  The deeper
+        levels keep their rules, since K_1, K_2, ... fix b0 as a vector.
+        Any other guest keeps every rule and accepts only a full embedding
+        whose image contains the anchor; every embedding the rule drops has
+        the image set of one it keeps, so this too misses no image set.
         """
         if self.m == 0:
             return None if anchor is not None else \
@@ -208,23 +271,25 @@ class EmbedSearcher:
             return None
         host_order = sorted(host_indices)
         if anchor is not None and len(self.orbit) == self.size:
-            return self._search(host_order, host_ambient, (), (anchor,))[0]
-        return self._search(host_order, host_ambient, self.orbit,
+            return self._search(host_order, host_ambient,
+                                self._anchored_rules, (anchor,))[0]
+        return self._search(host_order, host_ambient, self._rules, (),
                             anchor=anchor)[0]
 
-    def _search(self, host_order, host_ambient, orbit, top=None, cap=None,
+    def _search(self, host_order, host_ambient, rules, top=(), cap=None,
                 anchor=None):
         """The backtracking core of find.
 
-        host_order: the host's point indices, increasing.  orbit: guest
-        positions held to the orbit rule.  top: the host points tried as
-        b0's image, all of them if None.  cap: raise _OutOfSteps rather
-        than try more host candidates than this, over all levels.  anchor:
-        a host point every accepted embedding's image contains, if given.
-        Level i checks every guest point it determines except b_i, whose
-        image is the candidate w_i's index; the bisect start already holds
-        an orbit basis point above b0's image.  Returns the first witness
-        or None, and the candidates tried.
+        host_order: the host's point indices, increasing.  rules: a table
+        of _rule_table.  top: the pinned prefix, host points that levels
+        0..len(top)-1 take as their images; every pinned level but the last
+        keeps scalar 1, so the prefix is pinned as vectors.  cap: raise
+        _OutOfSteps rather than try more host candidates than this, over
+        all levels.  anchor: a host point every accepted embedding's image
+        contains, if given.  Level i checks every guest point it determines
+        except b_i, whose image is the candidate w_i's index; the bisect
+        start already holds b_i above the bound of its deepest orbit.
+        Returns the first witness or None, and the candidates tried.
         """
         f = self.f
         m = self.m
@@ -233,21 +298,21 @@ class EmbedSearcher:
         # canonical vector -> index, in index order: the candidate order
         host = {point_vec(hi, host_ambient, f): hi for hi in host_order}
         items = host.items()
-        first = items if top is None else [
-            (point_vec(hi, host_ambient, f), hi) for hi in top]
+        pinned = [[(point_vec(hi, host_ambient, f), hi)] for hi in top]
+        _, starts, rule_checks = rules
 
-        coords, levels, basis = self.coords, self.levels, self.basis
+        coords, basis = self.coords, self.basis
         scaled = [None] * m            # lambda_i * w_i
-        images = [None] * self.size    # host point index per guest point
+        # host point index per guest point, and -1 in the slot that bounds
+        # nothing
+        images = [None] * self.size + [-1]
         echelon = [None] * m           # (pivot, row) with row[pivot] == 1
         steps = 0
 
         def backtrack(i):
             nonlocal steps
             checks = []
-            for j in levels[i + 1]:
-                if j == basis[i]:
-                    continue
+            for j, bound in rule_checks[i]:
                 a = coords[j]
                 pre = [0] * host_ambient
                 for k in range(i):
@@ -255,27 +320,27 @@ class EmbedSearcher:
                         step = shift[a[k]]
                         pre = [step[x][y] for x, y in zip(pre, scaled[k])]
                 # rows[lam][t] maps x to pre_t + a_i * lam * x.  An image
-                # with index <= low fails: -1 passes every host point, and
-                # an orbit point can meet b0's image only if w_i depends on
+                # with index <= images[bound] fails; a point can meet its
+                # bounding basis point's image only if w_i depends on
                 # w_0..w_(i-1), which fails anyway.
-                low = images[0] if i and j in orbit else -1
-                checks.append((j, low, [[shift[c][x] for x in pre]
-                                        for c in mul[a[i]]]))
-            if i == 0:
-                candidates = first
-            elif basis[i] in orbit:
-                candidates = islice(items, bisect_right(host_order, images[0]),
-                                    None)
-            else:
+                checks.append((j, bound, [[shift[c][x] for x in pre]
+                                          for c in mul[a[i]]]))
+            if i < len(top):
+                candidates = pinned[i]
+            elif starts[i] == self.size:
                 candidates = items
+            else:
+                candidates = islice(
+                    items, bisect_right(host_order, images[starts[i]]), None)
+            scalars = (1,) if i == 0 or i + 1 < len(top) else nonzero
             for w, hi in candidates:
                 if steps == cap:
                     raise _OutOfSteps
                 steps += 1
                 images[basis[i]] = hi
                 r = None
-                for lam in (1,) if i == 0 else nonzero:
-                    for j, low, rows in checks:
+                for lam in scalars:
+                    for j, bound, rows in checks:
                         # a w in the span can give the zero vector; unit[0]
                         # keeps it zero and no host point matches it
                         img = tuple(map(getitem, rows[lam], w))
@@ -283,7 +348,7 @@ class EmbedSearcher:
                         if lead != 1:
                             img = tuple(map(unit[lead].__getitem__, img))
                         idx = host.get(img, -1)
-                        if idx <= low:
+                        if idx <= images[bound]:
                             break
                         images[j] = idx
                     else:
@@ -307,7 +372,7 @@ class EmbedSearcher:
 
     def _witness(self, scaled, images):
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
-        return EmbeddingWitness(map=tuple(rows), point_map=tuple(images))
+        return EmbeddingWitness(map=tuple(rows), point_map=tuple(images[:-1]))
 
 
 def contains(G, H):

@@ -1,3 +1,4 @@
+import json
 import random
 import resource
 import subprocess
@@ -388,10 +389,12 @@ def test_orbit_rule_is_exercised_on_non_transitive_guests():
     assert len(moved) >= 3
 
 
-@pytest.mark.parametrize("guest, transitive", SYMMETRIC_GUESTS)
+# PG(3, 2) and AG(3, 2) on hosts in PG(3, 2): 20160 maps each for the oracle
+@pytest.mark.parametrize("guest, transitive", SYMMETRIC_GUESTS + [
+    (make_pg(4, F2), True), (make_ag(4, F2), True)])
 def test_find_matches_oracle_on_symmetric_guests(guest, transitive):
-    # the orbit rule must keep some embedding of every copy, whichever
-    # point of the copy has the least index
+    # the rule must keep some embedding of every copy, whichever point of
+    # the copy has the least index
     f = guest.field
     m = geometry_rank(guest)
     rng = random.Random(len(guest) * f.q + m)
@@ -410,6 +413,101 @@ def test_find_matches_oracle_on_symmetric_guests(guest, transitive):
                 assert verify_witness(host, guest, w)
             seen.add(w is not None)
     assert True in seen
+
+
+def _stabilizer_chain(s):
+    # the true O_l of every level: the orbit of b_l under the invertible
+    # matrices on the searcher's basis coordinates that map the guest onto
+    # itself and fix e_0..e_(l-1) up to one common scalar.  The first row
+    # of each matrix is canonical, so that scalar is 1 and rows 0..l-1 are
+    # e_0..e_(l-1) themselves.
+    f, m = s.f, s.m
+    position = {point_index(a, m, f): j for j, a in enumerate(s.coords)}
+    eye = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    chain = [set() for _ in range(m)]
+    for M in _full_rank_matrices(m, m, f):
+        perm = [position.get(point_index(_times(a, M, f), m, f))
+                for a in s.coords]
+        if None in perm:
+            continue
+        fixed = next((k for k in range(m) if tuple(M[k]) != eye[k]), m)
+        for level in range(min(fixed, m - 1) + 1):
+            chain[level].add(perm[s.basis[level]])
+    return chain
+
+
+# (guest, whether the step budget covers its whole chain).  PG(3, 2) runs
+# out at level 2 and keeps 4 of the 12 points of the true orbit there.  In
+# the last guest b_2's orbit has 2 points, but 4 when b_0 and b_1 are fixed
+# only as points, not as vectors.
+CHAIN_GUESTS = [(guest, True) for guest, _ in SYMMETRIC_GUESTS] + [
+    (make_pg(3, F3), True), (make_pg(4, F2), False),
+    (Geometry(field=F3, ambient=3, points=(1, 3, 6, 7, 10, 11, 12)), True)]
+
+
+@pytest.mark.parametrize("guest, whole", CHAIN_GUESTS)
+def test_chain_is_within_the_stabilizer_chain(guest, whole):
+    s = EmbedSearcher(guest)
+    true_chain = _stabilizer_chain(s)
+    assert s.orbit == s.orbits[0]
+    assert len(s.orbits) == s.m
+    for level, orbit in enumerate(s.orbits):
+        assert s.basis[level] in orbit
+        assert orbit <= true_chain[level]
+        # the permutations of this level and the deeper ones are those that
+        # fix b_0..b_(l-1): one found at a shallower level k moves b_k
+        for perm in s.symmetries:
+            if all(perm[b] == b for b in s.basis[:level]):
+                assert {perm[j] for j in orbit} == orbit
+    assert (s.orbit_steps < s.size * s.m * s.f.q) == whole
+    if whole:
+        assert list(s.orbits) == true_chain
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_chain_keeps_the_first_witness(q):
+    # every level's rule keeps the first embedding in candidate order, so
+    # find returns what the search without any rule returns, anchored too
+    f = field_make(q)
+    rng = random.Random(50 + q)
+    guests = [make_pg(3, f), make_ag(3, f), _line_and_point(f),
+              _triangle_and_point(f)] + [
+        _random_spanning_guest(f, m, rng) for m in (2, 2, 3, 3)]
+    if q < 5:  # without the rule, G(2, 5, 2) alone takes 6 s
+        guests.append(make_g(3, f, 2))
+    if q == 2:
+        guests += [make_pg(4, f), make_ag(4, f)]
+    seen = []
+    for guest in guests:
+        s = EmbedSearcher(guest)
+        transitive = len(s.orbit) == s.size
+        for n in (s.m, s.m + 1) if pg_size(s.m + 1, f) <= 40 else (s.m,):
+            total = pg_size(n, f)
+            for _ in range(4):
+                keep = rng.uniform(0.3, 1)
+                host = frozenset(i for i in range(total) if rng.random() < keep)
+                order = sorted(host)
+                w = s.find(host, n)
+                assert w == s._search(order, n, s._no_rules)[0]
+                seen.append(w is not None)
+                for p in rng.sample(order, min(len(order), 2)):
+                    expect = s._search(order, n, s._no_rules, (p,))[0] \
+                        if transitive else \
+                        s._search(order, n, s._no_rules, anchor=p)[0]
+                    assert s.find(host, n, anchor=p) == expect
+    assert True in seen and False in seen
+
+
+def test_chain_cuts_deeper_levels():
+    # the Fano plane in G(4, 2, 2): no copy, found with fewer steps by the
+    # whole chain than by the rule of level 0 alone
+    s = EmbedSearcher(make_pg(3, F2))
+    host = make_g(5, F2, 2)
+    level_0 = s._rule_table((s.orbit,) + (frozenset(),) * (s.m - 1))
+    hit, steps = s._search(host.points, host.ambient, s._rules)
+    hit_0, steps_0 = s._search(host.points, host.ambient, level_0)
+    assert hit is None and hit_0 is None
+    assert steps < steps_0
 
 
 # (guest, whether the anchored search fixes b0's image to the anchor):
@@ -484,6 +582,30 @@ def test_witness_is_pinned(host, guest, matrix, point_map):
     w = contains(host, guest)
     assert w == EmbeddingWitness(map=matrix, point_map=point_map)
     assert verify_witness(host, guest, w)
+
+
+# PG(4, 2) inside the complement, in PG(5, 2), of six points that span it.
+# While the rule covered only b0's image, the search tried every ordered
+# basis of each candidate flat and took 23 s to return this witness.
+PG42_IN_A_COMPLEMENT = """
+import json
+from qgeom import (Geometry, complement_geometry, contains, field_make,
+                   make_pg, verify_witness)
+f = field_make(2)
+host = complement_geometry(
+    Geometry(field=f, ambient=6, points=(2, 24, 26, 48, 54, 56)))
+guest = make_pg(5, f)
+w = contains(host, guest)
+print(json.dumps([verify_witness(host, guest, w), w.map, w.point_map]))
+"""
+
+
+def test_pg42_in_a_complement_finishes_within_10_s():
+    r = subprocess.run([sys.executable, "-c", PG42_IN_A_COMPLEMENT],
+                       capture_output=True, text=True, timeout=10)
+    assert r.returncode == 0, r.stderr
+    identity = [[int(i == k) for i in range(6)] for k in range(5)]
+    assert json.loads(r.stdout) == [True, identity, list(range(1, 62, 2))]
 
 
 # e_0..e_(n-1) and every e_0 + e_k of PG(n-1, q), searched for inside

@@ -173,15 +173,17 @@ def test_branch_and_bound_matches_naive_oracle(H, n):
 ])
 def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     # H is point-transitive, so each freeness test fixes b0's image to the
-    # new point, the greatest in the set; the final re-check is unanchored
+    # new point, the greatest in the set, with the level-0 rule off; the
+    # final re-check is unanchored
     expect = brute_force_ex(H, n)
     calls = []
     search = EmbedSearcher._search
 
-    def spy(self, host_order, host_ambient, orbit, top=None, *rest, **kw):
+    def spy(self, host_order, host_ambient, rules, top=(), *rest, **kw):
         if host_ambient == n:  # not a self-search of H into itself
-            calls.append(top == (host_order[-1],) and not orbit)
-        return search(self, host_order, host_ambient, orbit, top, *rest, **kw)
+            orbits = rules[0]
+            calls.append(top == (host_order[-1],) and not orbits[0])
+        return search(self, host_order, host_ambient, rules, top, *rest, **kw)
 
     monkeypatch.setattr(EmbedSearcher, "_search", spy)
     res = ex_exact(H, n)
