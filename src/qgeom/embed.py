@@ -151,7 +151,7 @@ class EmbedSearcher:
         basis, coords = self.basis, self.coords
         cap = self.size * self.m * f.q
         used = 0
-        known = set(vecs)
+        own = dict(zip(vecs, H.points))  # H's own map, built once
         position = {p: j for j, p in enumerate(H.points)}
         orbits = [frozenset((b,)) for b in basis]
         perms = []
@@ -161,7 +161,7 @@ class EmbedSearcher:
             # to lines, so they keep these counts.  Costs q * ambient.
             p = vecs[j]
             return 1 + sum(canonical_vec(combine((1, c), (x, p), f), f)
-                           in known for c in range(f.q))
+                           in own for c in range(f.q))
 
         try:
             for level, b in enumerate(basis):
@@ -182,12 +182,12 @@ class EmbedSearcher:
                             counts(g) != base:
                         continue
                     hit, steps = self._search(
-                        H.points, H.ambient, self._no_rules,
-                        prefix + (H.points[g],), cap - used)
+                        own, H.points, H.ambient, self._no_rules,
+                        prefix + (H.points[g],), cap=cap - used)
                     used += steps
                     if hit is None:
                         continue
-                    perms.append(tuple(position[p] for p in hit.point_map))
+                    perms.append(tuple(position[p] for p in hit[1]))
                     todo = list(orbit)
                     while todo:
                         j = todo.pop()
@@ -233,35 +233,12 @@ class EmbedSearcher:
         anchor: if given, a host point the image must contain.  Returns the
         first EmbeddingWitness in candidate order, or None.
 
-        On entry to level i each guest point checked there gets its prefix
-        image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
-        of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
-        (w_i, lambda_i) pair costs one table lookup per coordinate.  The
-        image, scaled to its leading 1, is looked up in a dict from the
-        canonical vector of each host point to its index.  Basis point b_i
-        needs no lookup: its image is the candidate w_i itself.  A candidate
-        that passes every check is then reduced against the echelon rows of
-        w_0..w_(i-1): it is independent of them exactly when a nonzero
-        remainder is left, and that remainder becomes echelon row i.  Work
-        and memory grow with the host and the ambient rank, never with
-        q^rank.
-
-        The rule (see the module docstring) cuts twice at each level i: a
-        check of a guest point in some O_l fails when its image is at or
-        below b_l's, and when basis point b_i is in some O_l with l < i,
-        only host points above b_l's image are tried for it.  Neither cut
-        removes the first embedding in candidate order, so the witness is
-        the one the search without the rule returns.  The tables of these
-        bounds are built once per searcher (see _rule_table).
-
-        With an anchor, a guest whose found O_0 is all of its points has
-        b0 pinned to the anchor and the level-0 rule turned off: if phi(g)
-        is the anchor, pick sigma in K_0 with sigma(b0) = g, and phi o sigma
-        has the same image set and maps b0 to the anchor.  The deeper
-        levels keep their rules, since K_1, K_2, ... fix b0 as a vector.
-        Any other guest keeps every rule and accepts only a full embedding
-        whose image contains the anchor; every embedding the rule drops has
-        the image set of one it keeps, so this too misses no image set.
+        This is the index-set front of _search: it builds the host map,
+        from the canonical vector of each host point to its index in index
+        order (one point_vec per host point), once per call, and turns the
+        raw hit _search returns into a witness.  A caller that keeps its
+        own map across many searches, as ex_exact does, calls _search
+        directly and builds no witness.
         """
         if self.m == 0:
             return None if anchor is not None else \
@@ -269,35 +246,75 @@ class EmbedSearcher:
         if self.size > len(host_indices) or self.m > host_ambient or \
                 (anchor is not None and anchor not in host_indices):
             return None
-        host_order = sorted(host_indices)
-        if anchor is not None and len(self.orbit) == self.size:
-            return self._search(host_order, host_ambient,
-                                self._anchored_rules, (anchor,))[0]
-        return self._search(host_order, host_ambient, self._rules, (),
-                            anchor=anchor)[0]
+        order = sorted(host_indices)
+        host = {point_vec(hi, host_ambient, self.f): hi for hi in order}
+        hit, _ = self._search(host, order, host_ambient,
+                              *self._anchoring(anchor))
+        return None if hit is None else self._witness(*hit)
 
-    def _search(self, host_order, host_ambient, rules, top=(), cap=None,
-                anchor=None):
-        """The backtracking core of find.
+    def _anchoring(self, anchor):
+        """_search's rules, pinned prefix and anchor for a search anchored
+        at the given host point (None: any embedding).
 
-        host_order: the host's point indices, increasing.  rules: a table
-        of _rule_table.  top: the pinned prefix, host points that levels
-        0..len(top)-1 take as their images; every pinned level but the last
-        keeps scalar 1, so the prefix is pinned as vectors.  cap: raise
+        A guest whose found O_0 is all of its points has b0 pinned to the
+        anchor and the level-0 rule turned off: if phi(g) is the anchor,
+        pick sigma in K_0 with sigma(b0) = g, and phi o sigma has the same
+        image set and maps b0 to the anchor.  The deeper levels keep their
+        rules, since K_1, K_2, ... fix b0 as a vector.  Any other guest
+        keeps every rule and accepts only a full embedding whose image
+        contains the anchor; every embedding the rule drops has the image
+        set of one it keeps, so this too misses no image set.
+        """
+        if anchor is None:
+            return self._rules, (), None
+        if len(self.orbit) == self.size:
+            return self._anchored_rules, (anchor,), None
+        return self._rules, (), anchor
+
+    def _search(self, host, order, host_ambient, rules, top=(), anchor=None,
+                cap=None):
+        """The backtracking core of find, and of ex_exact's freeness tests.
+
+        host: a dict from the canonical vector of each host point to its
+        index, in index order; the caller builds it (find once per call,
+        ex_exact once per search, _chain once per searcher) and _search
+        only reads it.  order: the host's point indices, increasing, so
+        the dict's values in order.  rules: a table of _rule_table.  top:
+        the pinned prefix, host points that levels 0..len(top)-1 take as
+        their images; every pinned level but the last keeps scalar 1, so
+        the prefix is pinned as vectors.  anchor: a host point every
+        accepted embedding's image contains, if given.  cap: raise
         _OutOfSteps rather than try more host candidates than this, over
-        all levels.  anchor: a host point every accepted embedding's image
-        contains, if given.  Level i checks every guest point it determines
-        except b_i, whose image is the candidate w_i's index; the bisect
-        start already holds b_i above the bound of its deepest orbit.
-        Returns the first witness or None, and the candidates tried.
+        all levels.  Returns the raw hit, the scalar-times-image rows
+        lambda_i * w_i of the basis and the host point of each guest point
+        (see _witness), or None, and the candidates tried.
+
+        On entry to level i each guest point checked there gets its prefix
+        image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
+        of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
+        (w_i, lambda_i) pair costs one table lookup per coordinate.  The
+        image, scaled to its leading 1, is looked up in the host map.
+        Level i checks every guest point it determines except b_i, whose
+        image is the candidate w_i's index.  A candidate that passes every
+        check is then reduced against the echelon rows of w_0..w_(i-1): it
+        is independent of them exactly when a nonzero remainder is left,
+        and that remainder becomes echelon row i.  Work and memory grow
+        with the host and the ambient rank, never with q^rank.
+
+        The rule (see the module docstring) cuts twice at each level i: a
+        check of a guest point in some O_l fails when its image is at or
+        below b_l's, and when basis point b_i is in some O_l with l < i,
+        only host points above b_l's image are tried for it (the bisect
+        start).  Neither cut removes the first embedding in candidate
+        order, so the witness is the one the search without the rule
+        returns.  The tables of these bounds are built once per searcher
+        (see _rule_table).
         """
         f = self.f
         m = self.m
         mul, shift, unit = f.mul_table, f.shift, f.unit
         nonzero = range(1, f.q)
-        # canonical vector -> index, in index order: the candidate order
-        host = {point_vec(hi, host_ambient, f): hi for hi in host_order}
-        items = host.items()
+        items = host.items()  # the candidate order
         pinned = [[(point_vec(hi, host_ambient, f), hi)] for hi in top]
         _, starts, rule_checks = rules
 
@@ -331,7 +348,7 @@ class EmbedSearcher:
                 candidates = items
             else:
                 candidates = islice(
-                    items, bisect_right(host_order, images[starts[i]]), None)
+                    items, bisect_right(order, images[starts[i]]), None)
             scalars = (1,) if i == 0 or i + 1 < len(top) else nonzero
             for w, hi in candidates:
                 if steps == cap:
@@ -361,7 +378,7 @@ class EmbedSearcher:
                         if i + 1 < m:
                             hit = backtrack(i + 1)
                         elif anchor is None or anchor in images:
-                            hit = self._witness(scaled, images)
+                            hit = tuple(scaled), tuple(images[:-1])
                         else:
                             hit = None
                         if hit is not None:
@@ -370,9 +387,11 @@ class EmbedSearcher:
 
         return backtrack(0), steps
 
-    def _witness(self, scaled, images):
+    def _witness(self, scaled, point_map):
+        """The witness of a raw hit of _search: the map matrix in the
+        canonical span basis, combined from the rows lambda_i * w_i."""
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
-        return EmbeddingWitness(map=tuple(rows), point_map=tuple(images[:-1]))
+        return EmbeddingWitness(map=tuple(rows), point_map=point_map)
 
 
 def contains(G, H):

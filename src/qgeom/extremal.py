@@ -7,6 +7,14 @@ invariant, so every copy of H in the set plus p goes through p: including
 p is checked by one embedding search into the set plus p anchored at p,
 which looks only for embeddings whose image contains p.
 
+The search keeps one host map, from the canonical vector of each chosen
+point to its index, for the whole search and hands it to the search core
+as it stands.  Points are chosen in increasing order, so the map is in
+index order by construction: including p adds p's vector at the end, and
+undoing that include pops it off again.  So each node computes one
+vector, however large the current set is, and no freeness test builds a
+witness.
+
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
 points has an image that contains points 0 and 1.  So the search takes
@@ -17,7 +25,9 @@ in the include-0, include-1 subtree, which both searches visit first, and
 the incumbent is only ever replaced by a strictly larger set.
 
 Budgets are mandatory with defaults; running out degrades the result
-status to "lower-bound" instead of failing.
+status to "lower-bound" instead of failing.  A negative cap or a NaN time
+cap raises ValueError: no comparison with NaN is ever true, so it would
+silently be no cap at all.
 """
 
 from __future__ import annotations
@@ -64,13 +74,26 @@ def is_free(S, H):
     return contains(S, H) is None
 
 
+def _checked(budget):
+    """The budget, or the default one; a cap below 0 or NaN raises."""
+    budget = budget or Budget()
+    if not budget.node_cap >= 0:
+        raise ValueError("node_cap must be at least 0, not %r"
+                         % (budget.node_cap,))
+    if budget.time_cap is not None and not budget.time_cap >= 0:
+        raise ValueError("time_cap must be at least 0 seconds, not %r"
+                         % (budget.time_cap,))
+    return budget
+
+
 def ex_exact(H, n, budget=None):
     """Largest H-free point set in PG(n-1, q), with a witness.
 
     Exact unless the budget runs out, in which case the best set found so
     far is reported with status "lower-bound".  The empty geometry is
     contained in every set, so no H-free set exists for it.  A space of
-    more than MAX_LISTED_POINTS points raises ValueError.
+    more than MAX_LISTED_POINTS points, or a budget with a negative or
+    NaN cap, raises ValueError.
     """
     if n < 1:
         raise ValueError("ex_exact needs n >= 1")
@@ -78,12 +101,13 @@ def ex_exact(H, n, budget=None):
         raise EmptyGeometry("ex_exact of the empty geometry")
     f = H.field
     total = _listable_size(n, f)
-    budget = budget or Budget()
+    budget = _checked(budget)
     searcher = EmbedSearcher(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []
-    chosen = []
+    chosen = []  # increasing, so it is also the host order
+    host = {}    # canonical vector -> index of each chosen point, in order
     nodes = 0
     exhausted = False
     # The depth-first order on an explicit stack, since the depth reaches
@@ -94,6 +118,7 @@ def ex_exact(H, n, budget=None):
         i = stack.pop()
         if i < 0:
             chosen.pop()
+            host.popitem()
             continue
         if nodes >= budget.node_cap or \
                 (deadline is not None and time.monotonic() > deadline):
@@ -106,9 +131,14 @@ def ex_exact(H, n, budget=None):
             continue
         if len(chosen) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
-        if searcher.find(frozenset(chosen) | {i}, n, anchor=i) is None:
-            chosen.append(i)
+        chosen.append(i)
+        host[point_vec(i, n, f)] = i
+        if searcher._search(host, chosen, n,
+                            *searcher._anchoring(i))[0] is None:
             stack += (-1, i + 1)
+        else:
+            chosen.pop()
+            host.popitem()
 
     witness = Geometry(field=f, ambient=n, points=tuple(best))
     if not is_free(witness, H):
@@ -153,8 +183,9 @@ def find_sparse_flat(G, m, c):
 def density_table(H, n_range, budget=None):
     """One DensityRow per rank in n_range, with the exact limit 1 - q^(1-c).
 
-    Every rank is checked against the listing limit before any search runs.
+    Every rank and the budget are checked before any search runs.
     """
+    budget = _checked(budget)
     rows = []
     f = H.field
     n_list = []

@@ -178,6 +178,27 @@ def test_density_command(tmp_path):
     assert lines[2] == "3,4,7,4,7,1,2,exact"
 
 
+def test_negative_or_nan_budgets_exit_2(tmp_path):
+    # a NaN time cap would silently be no cap, and a negative one would
+    # give an empty "lower-bound"; 0 and inf stay valid caps
+    forbid = tmp_path / "line.json"
+    run_cli("make", "pg", "-m", "2", "-q", "2", "-o", str(forbid))
+    for cmd in (["extremal", str(forbid), "-n", "3"],
+                ["density", str(forbid), "--n-min", "2", "--n-max", "3"]):
+        for cap in (["--time-cap", "nan"], ["--time-cap", "-1"],
+                    ["--node-cap", "-1"]):
+            r = run_cli(*cmd, *cap)
+            assert r.returncode == 2, (cmd, cap)
+            assert json.loads(r.stderr)["error"] == "ValueError", (cmd, cap)
+            assert r.stdout == "", (cmd, cap)
+        for cap in (["--time-cap", "inf"], ["--node-cap", "0"]):
+            r = run_cli(*cmd, *cap)
+            assert r.returncode == 0, (cmd, cap, r.stderr)
+    r = run_cli("extremal", str(forbid), "-n", "3", "--node-cap", "0")
+    assert (json.loads(r.stdout)["nodes"],
+            json.loads(r.stdout)["status"]) == (0, "lower-bound")
+
+
 def test_sparse_flat_command(tmp_path):
     geom = tmp_path / "full.json"
     run_cli("make", "pg", "-m", "3", "-q", "2", "-o", str(geom))

@@ -26,7 +26,7 @@ from qgeom import (
 )
 from qgeom.embed import EmbedSearcher
 from qgeom.geometry import span_coordinates
-from qgeom.projective import canonical_vec, point_index, rref
+from qgeom.projective import canonical_vec, point_index, point_vec, rref
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -464,6 +464,17 @@ def test_chain_is_within_the_stabilizer_chain(guest, whole):
         assert list(s.orbits) == true_chain
 
 
+def _host_map(order, n, f):
+    # the map find builds and _search reads: canonical vector -> index
+    return {point_vec(i, n, f): i for i in order}
+
+
+def _core_witness(s, order, n, *args, **kw):
+    # _search on order's host map, its raw hit made a witness as find does
+    hit = s._search(_host_map(order, n, s.f), order, n, *args, **kw)[0]
+    return None if hit is None else s._witness(*hit)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_chain_keeps_the_first_witness(q):
     # every level's rule keeps the first embedding in candidate order, so
@@ -488,12 +499,12 @@ def test_chain_keeps_the_first_witness(q):
                 host = frozenset(i for i in range(total) if rng.random() < keep)
                 order = sorted(host)
                 w = s.find(host, n)
-                assert w == s._search(order, n, s._no_rules)[0]
+                assert w == _core_witness(s, order, n, s._no_rules)
                 seen.append(w is not None)
                 for p in rng.sample(order, min(len(order), 2)):
-                    expect = s._search(order, n, s._no_rules, (p,))[0] \
+                    expect = _core_witness(s, order, n, s._no_rules, (p,)) \
                         if transitive else \
-                        s._search(order, n, s._no_rules, anchor=p)[0]
+                        _core_witness(s, order, n, s._no_rules, anchor=p)
                     assert s.find(host, n, anchor=p) == expect
     assert True in seen and False in seen
 
@@ -504,8 +515,9 @@ def test_chain_cuts_deeper_levels():
     s = EmbedSearcher(make_pg(3, F2))
     host = make_g(5, F2, 2)
     level_0 = s._rule_table((s.orbit,) + (frozenset(),) * (s.m - 1))
-    hit, steps = s._search(host.points, host.ambient, s._rules)
-    hit_0, steps_0 = s._search(host.points, host.ambient, level_0)
+    own = _host_map(host.points, host.ambient, F2)
+    hit, steps = s._search(own, host.points, host.ambient, s._rules)
+    hit_0, steps_0 = s._search(own, host.points, host.ambient, level_0)
     assert hit is None and hit_0 is None
     assert steps < steps_0
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import brute_force_ex, sparse_flat_by_scan, subset_geometry
 
+import qgeom.embed
 import qgeom.extremal
 from qgeom import (
     Budget,
@@ -27,6 +28,7 @@ from qgeom import (
     make_pg,
     pg_size,
     point_index,
+    point_vec,
 )
 from qgeom.embed import EmbedSearcher
 from qgeom.extremal import density_rows_to_csv
@@ -179,16 +181,121 @@ def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     calls = []
     search = EmbedSearcher._search
 
-    def spy(self, host_order, host_ambient, rules, top=(), *rest, **kw):
+    def spy(self, host, host_order, host_ambient, rules, top=(), *rest,
+            **kw):
         if host_ambient == n:  # not a self-search of H into itself
             orbits = rules[0]
             calls.append(top == (host_order[-1],) and not orbits[0])
-        return search(self, host_order, host_ambient, rules, top, *rest, **kw)
+        return search(self, host, host_order, host_ambient, rules, top,
+                      *rest, **kw)
 
     monkeypatch.setattr(EmbedSearcher, "_search", spy)
     res = ex_exact(H, n)
     assert (res.value, res.status) == (expect, "exact")
     assert len(calls) > 1 and all(calls[:-1]) and not calls[-1]
+
+
+LINE_AND_POINT = _points(F2, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize("H, n, budget, expect", [
+    # point-transitive: each freeness test pins b0 to the new point
+    (make_pg(2, F2), 4, None, (8, "exact", 178)),
+    # not point-transitive: the anchored path filters full embeddings
+    (LINE_AND_POINT, 4, None, None),
+    # stopped by the node cap with part of the stack still to unwind
+    (make_pg(2, F2), 5, Budget(node_cap=200), (None, "lower-bound", 200)),
+])
+def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
+                                              monkeypatch):
+    # at every freeness test the map ex_exact hands the search core is the
+    # one find would build for the chosen points plus the new one, in index
+    # order, and the new point, the anchor, is the last of them
+    f = H.field
+    calls = []
+    search = EmbedSearcher._search
+
+    def spy(self, host, order, host_ambient, rules, top=(), anchor=None,
+            cap=None):
+        if host_ambient == n:  # not a self-search of H into itself
+            assert list(order) == sorted(set(order))
+            assert list(host.items()) == [(point_vec(i, n, f), i)
+                                          for i in order]
+            calls.append((top[0] if top else anchor) == order[-1])
+        return search(self, host, order, host_ambient, rules, top, anchor,
+                      cap)
+
+    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    res = ex_exact(H, n, budget)
+    # every call but the last is a freeness test; the last is the final
+    # unanchored re-check of the witness
+    assert len(calls) > 2 and all(calls[:-1]) and not calls[-1]
+    assert is_free(res.witness, H)
+    if expect is not None:
+        value, status, nodes = expect
+        assert (res.status, res.nodes) == (status, nodes)
+        assert value is None or res.value == value
+
+
+def test_freeness_tests_build_no_witness(monkeypatch):
+    def refuse(self, *args):
+        raise RuntimeError("a freeness test built a witness")
+
+    monkeypatch.setattr(EmbedSearcher, "_witness", refuse)
+    res = ex_exact(make_pg(2, F2), 4)
+    assert (res.value, res.status, res.nodes) == (8, "exact", 178)
+
+
+def test_ex_exact_computes_one_vector_per_node(monkeypatch):
+    # one point_vec for the point a node includes and one for the pinned
+    # anchor, whatever the size of the chosen set; the searcher's set-up and
+    # the final re-check (a second searcher and a map of the witness) come
+    # on top
+    calls = [0]
+    real = qgeom.extremal.point_vec
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qgeom.embed, "point_vec", counted)
+    monkeypatch.setattr(qgeom.extremal, "point_vec", counted)
+    H = make_pg(2, F2)
+    EmbedSearcher(H)
+    set_up, calls[0] = calls[0], 0
+    res = ex_exact(H, 5)
+    assert (res.value, res.status, res.nodes) == (16, "exact", 23006)
+    assert calls[0] <= 2 * res.nodes + 2 * set_up + res.value
+
+
+BAD_BUDGETS = [Budget(time_cap=float("nan")), Budget(time_cap=-1),
+               Budget(time_cap=-0.5, node_cap=5), Budget(node_cap=-1)]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_negative_or_nan_caps_raise_before_any_search(budget, monkeypatch):
+    # no comparison with NaN is true, so a NaN time cap would be no cap;
+    # a negative cap would return an empty "lower-bound" after 0 nodes
+    def no_search(*args):
+        raise AssertionError("searched with a bad budget")
+
+    monkeypatch.setattr(qgeom.extremal, "EmbedSearcher", no_search)
+    monkeypatch.setattr(qgeom.extremal, "critical_exponent", no_search)
+    with pytest.raises(ValueError):
+        ex_exact(make_pg(2, F2), 3, budget)
+    with pytest.raises(ValueError):
+        density_table(make_pg(2, F2), range(2, 4), budget)
+
+
+def test_zero_and_infinite_caps_are_valid():
+    H = make_pg(2, F2)
+    res = ex_exact(H, 3, Budget(node_cap=0))
+    assert (res.value, res.status, res.nodes) == (0, "lower-bound", 0)
+    res = ex_exact(H, 3, Budget(time_cap=float("inf")))
+    assert (res.value, res.status) == (4, "exact")
+    assert ex_exact(H, 3, Budget(time_cap=0)).value <= 4
+    rows = density_table(H, range(2, 4), Budget(time_cap=float("inf")))
+    assert [r.status for r in rows] == ["exact", "exact"]
 
 
 def test_lower_bound_sandwich_and_monotonicity():
