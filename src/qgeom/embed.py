@@ -174,7 +174,7 @@ class EmbedSearcher:
                         return [on_line(basis[k], vecs[g])
                                 for k in range(level)]
                 base = counts(b)
-                prefix = tuple(H.points[basis[k]] for k in range(level))
+                prefix = tuple((vecs[k], H.points[k]) for k in basis[:level])
                 first = len(perms)  # this level's permutations start here
                 orbit = {b}
                 for g in range(self.size):
@@ -183,7 +183,7 @@ class EmbedSearcher:
                         continue
                     hit, steps = self._search(
                         own, H.points, H.ambient, self._no_rules,
-                        prefix + (H.points[g],), cap=cap - used)
+                        prefix + ((vecs[g], H.points[g]),), cap=cap - used)
                     used += steps
                     if hit is None:
                         continue
@@ -248,13 +248,19 @@ class EmbedSearcher:
             return None
         order = sorted(host_indices)
         host = {point_vec(hi, host_ambient, self.f): hi for hi in order}
-        hit, _ = self._search(host, order, host_ambient,
-                              *self._anchoring(anchor))
+        rules, top = self._rules, ()
+        if anchor is not None:
+            rules, pin = self._anchoring()
+            if pin:
+                top = ((point_vec(anchor, host_ambient, self.f), anchor),)
+                anchor = None
+        hit, _ = self._search(host, order, host_ambient, rules, top, anchor)
         return None if hit is None else self._witness(*hit)
 
-    def _anchoring(self, anchor):
-        """_search's rules, pinned prefix and anchor for a search anchored
-        at the given host point (None: any embedding).
+    def _anchoring(self):
+        """_search's rules for a search anchored at a host point, and
+        whether the anchor is pinned as b0's image (True: top is the
+        anchor's (vector, index) pair) or passed as _search's anchor.
 
         A guest whose found O_0 is all of its points has b0 pinned to the
         anchor and the level-0 rule turned off: if phi(g) is the anchor,
@@ -265,11 +271,9 @@ class EmbedSearcher:
         contains the anchor; every embedding the rule drops has the image
         set of one it keeps, so this too misses no image set.
         """
-        if anchor is None:
-            return self._rules, (), None
         if len(self.orbit) == self.size:
-            return self._anchored_rules, (anchor,), None
-        return self._rules, (), anchor
+            return self._anchored_rules, True
+        return self._rules, False
 
     def _search(self, host, order, host_ambient, rules, top=(), anchor=None,
                 cap=None):
@@ -280,9 +284,10 @@ class EmbedSearcher:
         ex_exact once per search, _chain once per searcher) and _search
         only reads it.  order: the host's point indices, increasing, so
         the dict's values in order.  rules: a table of _rule_table.  top:
-        the pinned prefix, host points that levels 0..len(top)-1 take as
-        their images; every pinned level but the last keeps scalar 1, so
-        the prefix is pinned as vectors.  anchor: a host point every
+        the pinned prefix, (canonical vector, index) pairs of the host
+        points that levels 0..len(top)-1 take as their images, so _search
+        computes no vector; every pinned level but the last keeps scalar
+        1, so the prefix is pinned as vectors.  anchor: a host point every
         accepted embedding's image contains, if given.  cap: raise
         _OutOfSteps rather than try more host candidates than this, over
         all levels.  Returns the raw hit, the scalar-times-image rows
@@ -309,13 +314,17 @@ class EmbedSearcher:
         order, so the witness is the one the search without the rule
         returns.  The tables of these bounds are built once per searcher
         (see _rule_table).
+
+        backtrack calls itself through its closure cell, a reference cycle,
+        so the cell is emptied on the way out: everything the search made
+        is then freed by reference counting, with no work left for the
+        cyclic collector.
         """
         f = self.f
         m = self.m
         mul, shift, unit = f.mul_table, f.shift, f.unit
         nonzero = range(1, f.q)
         items = host.items()  # the candidate order
-        pinned = [[(point_vec(hi, host_ambient, f), hi)] for hi in top]
         _, starts, rule_checks = rules
 
         coords, basis = self.coords, self.basis
@@ -343,7 +352,7 @@ class EmbedSearcher:
                 checks.append((j, bound, [[shift[c][x] for x in pre]
                                           for c in mul[a[i]]]))
             if i < len(top):
-                candidates = pinned[i]
+                candidates = (top[i],)
             elif starts[i] == self.size:
                 candidates = items
             else:
@@ -385,7 +394,10 @@ class EmbedSearcher:
                             return hit
             return None
 
-        return backtrack(0), steps
+        try:
+            return backtrack(0), steps
+        finally:
+            del backtrack
 
     def _witness(self, scaled, point_map):
         """The witness of a raw hit of _search: the map matrix in the
@@ -408,9 +420,11 @@ def contains(G, H):
 def verify_witness(G, H, w):
     """Check a witness without re-running the search.
 
-    True iff the map has full rank, every guest point maps (in span
-    coordinates) to exactly the claimed host point, and every claimed host
-    point belongs to G.
+    True iff every map entry is an int in range(q), the map has full
+    rank, every guest point maps (in span coordinates) to exactly the
+    claimed host point, and every claimed host point belongs to G.  Any
+    other entry gives False: a negative one would otherwise index the
+    field tables from the end.
     """
     f = H.field
     m, _, coords = span_coordinates(H)
@@ -420,6 +434,9 @@ def verify_witness(G, H, w):
         return True
     n = G.ambient
     if any(len(row) != n for row in w.map):
+        return False
+    if not all(isinstance(x, int) and 0 <= x < f.q
+               for row in w.map for x in row):
         return False
     reduced, _ = rref(w.map, n, f)
     if len(reduced) != m:

@@ -11,9 +11,11 @@ The search keeps one host map, from the canonical vector of each chosen
 point to its index, for the whole search and hands it to the search core
 as it stands.  Points are chosen in increasing order, so the map is in
 index order by construction: including p adds p's vector at the end, and
-undoing that include pops it off again.  So each node computes one
-vector, however large the current set is, and no freeness test builds a
-witness.
+undoing that include pops it off again.  Each point's vector is read
+once per search from iter_canonical_vectors, the first time the search
+includes that point, and the same tuple serves as its host-map key and as
+its pinned image in every freeness test.  So no vector is computed twice,
+however large the current set is, and no freeness test builds a witness.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
 
 from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry
 from .geometry import Geometry, _listable_size, critical_exponent, g_size
 from .projective import (
+    iter_canonical_vectors,
     iter_flats,
     flat_points,
     pg_size,
@@ -103,11 +105,16 @@ def ex_exact(H, n, budget=None):
     total = _listable_size(n, f)
     budget = _checked(budget)
     searcher = EmbedSearcher(H)
+    rules, pin = searcher._anchoring()
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []
     chosen = []  # increasing, so it is also the host order
     host = {}    # canonical vector -> index of each chosen point, in order
+    # vecs[i] is point i's vector; a node includes point i only after one
+    # included i - 1, so the list grows by at most one at a time
+    vecs = []
+    points = iter_canonical_vectors(n, f)
     nodes = 0
     exhausted = False
     # The depth-first order on an explicit stack, since the depth reaches
@@ -131,10 +138,16 @@ def ex_exact(H, n, budget=None):
             continue
         if len(chosen) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
+        if i == len(vecs):
+            vecs.append(next(points))
+        v = vecs[i]
         chosen.append(i)
-        host[point_vec(i, n, f)] = i
-        if searcher._search(host, chosen, n,
-                            *searcher._anchoring(i))[0] is None:
+        host[v] = i
+        if pin:
+            hit = searcher._search(host, chosen, n, rules, ((v, i),))[0]
+        else:
+            hit = searcher._search(host, chosen, n, rules, (), i)[0]
+        if hit is None:
             stack += (-1, i + 1)
         else:
             chosen.pop()
@@ -185,6 +198,8 @@ def density_table(H, n_range, budget=None):
 
     Every rank and the budget are checked before any search runs.
     """
+    from fractions import Fraction
+
     budget = _checked(budget)
     rows = []
     f = H.field

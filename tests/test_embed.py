@@ -8,6 +8,8 @@ from itertools import combinations, product
 
 import pytest
 from conftest import rref_by_gauss_jordan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeom import (
     EmbeddingWitness,
@@ -98,6 +100,40 @@ def test_verify_rejects_point_outside_host():
     host = Geometry(field=F2, ambient=3,
                     points=tuple(i for i in full.points if i != w.point_map[0]))
     assert not verify_witness(host, guest, w)
+
+
+def _with_entry(w, value):
+    # w with its first map entry 2 replaced by value
+    rows = [list(r) for r in w.map]
+    i, j = next((i, j) for i, r in enumerate(rows) for j, x in enumerate(r)
+                if x == 2)
+    rows[i][j] = value
+    return EmbeddingWitness(map=tuple(map(tuple, rows)),
+                            point_map=w.point_map)
+
+
+@pytest.mark.parametrize("entry", [-1, 4, 2.0])
+def test_verify_rejects_entries_outside_the_field(entry):
+    # -1 used to index the field tables from the end and pass as 2; 4
+    # raised IndexError and 2.0 TypeError
+    host, guest = make_pg(4, F3), make_ag(3, F3)
+    w = contains(host, guest)
+    assert verify_witness(host, guest, w)
+    assert verify_witness(host, guest, _with_entry(w, entry)) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_returns_a_bool_for_any_integer_map(data):
+    # a map of the right shape, so every entry reaches the checks
+    host, guest = make_pg(4, F3), make_ag(3, F3)
+    row = st.lists(st.integers(), min_size=host.ambient,
+                   max_size=host.ambient)
+    w = EmbeddingWitness(
+        map=data.draw(st.lists(row, min_size=3, max_size=3)),
+        point_map=data.draw(st.lists(st.integers(), min_size=len(guest),
+                                     max_size=len(guest))))
+    assert type(verify_witness(host, guest, w)) is bool
 
 
 def test_reflexivity():
@@ -502,7 +538,8 @@ def test_chain_keeps_the_first_witness(q):
                 assert w == _core_witness(s, order, n, s._no_rules)
                 seen.append(w is not None)
                 for p in rng.sample(order, min(len(order), 2)):
-                    expect = _core_witness(s, order, n, s._no_rules, (p,)) \
+                    pin = ((point_vec(p, n, f), p),)
+                    expect = _core_witness(s, order, n, s._no_rules, pin) \
                         if transitive else \
                         _core_witness(s, order, n, s._no_rules, anchor=p)
                     assert s.find(host, n, anchor=p) == expect

@@ -1,4 +1,7 @@
+import gc
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -185,7 +188,9 @@ def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
             **kw):
         if host_ambient == n:  # not a self-search of H into itself
             orbits = rules[0]
-            calls.append(top == (host_order[-1],) and not orbits[0])
+            p = host_order[-1]
+            calls.append(top == ((point_vec(p, n, H.field), p),)
+                         and not orbits[0])
         return search(self, host, host_order, host_ambient, rules, top,
                       *rest, **kw)
 
@@ -221,7 +226,7 @@ def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
             assert list(order) == sorted(set(order))
             assert list(host.items()) == [(point_vec(i, n, f), i)
                                           for i in order]
-            calls.append((top[0] if top else anchor) == order[-1])
+            calls.append((top[0][1] if top else anchor) == order[-1])
         return search(self, host, order, host_ambient, rules, top, anchor,
                       cap)
 
@@ -247,10 +252,11 @@ def test_freeness_tests_build_no_witness(monkeypatch):
 
 
 def test_ex_exact_computes_one_vector_per_node(monkeypatch):
-    # one point_vec for the point a node includes and one for the pinned
-    # anchor, whatever the size of the chosen set; the searcher's set-up and
-    # the final re-check (a second searcher and a map of the witness) come
-    # on top
+    # no node calls point_vec: each point's vector is read once from
+    # iter_canonical_vectors, so at most one per point index the freeness
+    # tests reach, whatever the size of the chosen set.  Only the
+    # searcher's set-up and the final re-check (a second searcher and a
+    # map of the witness) call point_vec.
     calls = [0]
     real = qgeom.extremal.point_vec
 
@@ -258,14 +264,58 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
         calls[0] += 1
         return real(*args)
 
+    yielded = [0]
+    real_iter = qgeom.extremal.iter_canonical_vectors
+
+    def counted_iter(*args):
+        for v in real_iter(*args):
+            yielded[0] += 1
+            yield v
+
+    reached = [-1]
+    search = EmbedSearcher._search
+
+    def spy(self, host, order, host_ambient, *rest, **kw):
+        if host_ambient == 5:  # not a self-search of H into itself
+            reached[0] = max(reached[0], order[-1])
+        return search(self, host, order, host_ambient, *rest, **kw)
+
     monkeypatch.setattr(qgeom.embed, "point_vec", counted)
     monkeypatch.setattr(qgeom.extremal, "point_vec", counted)
+    monkeypatch.setattr(qgeom.extremal, "iter_canonical_vectors",
+                        counted_iter)
+    monkeypatch.setattr(EmbedSearcher, "_search", spy)
     H = make_pg(2, F2)
     EmbedSearcher(H)
     set_up, calls[0] = calls[0], 0
     res = ex_exact(H, 5)
     assert (res.value, res.status, res.nodes) == (16, "exact", 23006)
-    assert calls[0] <= 2 * res.nodes + 2 * set_up + res.value
+    assert calls[0] <= 2 * set_up + res.value
+    assert 0 < yielded[0] <= reached[0] + 1
+
+
+def test_searches_leave_nothing_for_the_cyclic_collector():
+    # every freeness test, and find, frees what it made by reference
+    # counting; the collector is off so that it cannot hide a cycle
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ex_exact(make_pg(2, F2), 4)
+        contains(make_pg(3, F2), make_pg(2, F2))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_importing_extremal_loads_no_fractions():
+    # only density_table uses Fraction, so it imports fractions itself
+    code = "import sys, qgeom.extremal; print('fractions' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 BAD_BUDGETS = [Budget(time_cap=float("nan")), Budget(time_cap=-1),
