@@ -39,15 +39,9 @@ from collections import namedtuple
 
 from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry
-from .geometry import Geometry, _listable_size, critical_exponent, g_size
-from .projective import (
-    iter_canonical_vectors,
-    iter_flats,
-    flat_points,
-    pg_size,
-    point_vec,
-    span,
-)
+from .geometry import (Geometry, _listable_size, critical_exponent,
+                       first_flat, g_size)
+from .projective import iter_canonical_vectors, pg_size
 
 
 class Budget(namedtuple("Budget", "node_cap time_cap",
@@ -173,24 +167,16 @@ def find_sparse_flat(G, m, c):
 
     Such an F meets G inside a rank-(m-c) flat, so at least
     pg_size(m) - pg_size(m-c) of its points lie off G: when the ambient
-    has fewer points off G, None is returned at once.  Otherwise flats are
-    enumerated lazily; returns the first hit or None after exhausting all
-    rank-m flats.  An ambient of more than MAX_LISTED_POINTS points raises
-    ValueError.
+    has fewer points off G, None is returned at once.  Otherwise returns
+    first_flat's answer: the first such F in iter_flats order, or None.
+    An ambient of more than MAX_LISTED_POINTS points raises ValueError.
     """
     if not 1 <= c < m <= G.ambient:
         raise ValueError("sparse-flat needs 1 <= c < m <= ambient rank")
     f, n = G.field, G.ambient
     if _listable_size(n, f) - len(G) < pg_size(m, f) - pg_size(m - c, f):
         return None
-    gset = G.point_set
-    for F in iter_flats(n, f, m):
-        hit = flat_points(F) & gset
-        # more points than a rank-(m-c) flat carries cannot span rank <= m-c
-        if len(hit) <= pg_size(m - c, f) and \
-                span([point_vec(i, n, f) for i in hit], n, f).rank <= m - c:
-            return F
-    return None
+    return first_flat(G.point_vecs(), n, f, m, m - c)
 
 
 def density_table(H, n_range, budget=None):
@@ -203,17 +189,13 @@ def density_table(H, n_range, budget=None):
     budget = _checked(budget)
     rows = []
     f = H.field
-    n_list = []
-    for n in n_range:
-        _listable_size(n, f)
-        n_list.append(n)
-    if not n_list:
+    sizes = [(n, _listable_size(n, f)) for n in n_range]
+    if not sizes:
         return rows
     c = critical_exponent(H)
     limit = 1 - Fraction(1, f.q ** (c - 1))
-    for n in n_list:
+    for n, total in sizes:
         res = ex_exact(H, n, budget=budget)
-        total = pg_size(n, f)
         rows.append(DensityRow(n=n, ex=res.value, total=total,
                                density=Fraction(res.value, total),
                                limit=limit, status=res.status))

@@ -12,20 +12,12 @@ All densities and ratios derived from these sets are exact rationals.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .errors import EmptyGeometry
 from .field import field_make
-from .projective import (
-    Flat,
-    flat_points,
-    pg_size,
-    point_index,
-    point_vec,
-    reduce_row,
-    rref,
-    span,
-)
+from .projective import (Flat, flat_points, pg_size, point_index, point_vec,
+                         reduce_row, rref, span)
 
 
 class Geometry:
@@ -94,11 +86,13 @@ MAX_LISTED_POINTS = 2 ** 20
 
 
 def _listable_size(m, f):
-    """pg_size(m, f), or ValueError above MAX_LISTED_POINTS points.
+    """pg_size(m, f), or ValueError for m < 1 or above MAX_LISTED_POINTS.
 
     pg_size(m, f) >= 2^(m-1), so a rank m past the bit length of the limit
     is refused before q^m is built.
     """
+    if m < 1:
+        raise ValueError("rank must be at least 1, not %d" % m)
     if m > MAX_LISTED_POINTS.bit_length() or \
             pg_size(m, f) > MAX_LISTED_POINTS:
         raise ValueError("PG(%d, %d) is above the limit of %d points"
@@ -111,12 +105,6 @@ def _points_outside(m, f, inside):
     return tuple(i for i in range(_listable_size(m, f)) if i not in inside)
 
 
-def _standard_flat_points(m, f, r):
-    """Indices of the points of the flat spanned by the first r basis vectors."""
-    basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(r))
-    return flat_points(Flat(basis=basis, n=m, field=f))
-
-
 def make_pg(m, f):
     """PG(m-1, q): every point of the rank-m space."""
     return Geometry(field=f, ambient=m, points=_points_outside(m, f, ()))
@@ -127,7 +115,8 @@ def make_g(m, f, c):
     if not 0 <= c <= m:
         raise ValueError("family g needs 0 <= c <= m")
     _listable_size(m, f)  # the removed flat can be nearly as large
-    removed = _standard_flat_points(m, f, m - c)
+    basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(m - c))
+    removed = flat_points(Flat(basis=basis, n=m, field=f))
     return Geometry(field=f, ambient=m, points=_points_outside(m, f, removed))
 
 
@@ -161,50 +150,79 @@ def span_coordinates(H):
     return len(basis), pivots, coords
 
 
+def first_flat(vecs, n, f, k, r):
+    """The first rank-k flat of PG(n-1, q), in iter_flats order, meeting the
+    points with canonical vectors vecs in rank at most r; or None.
+
+    Pivots are fixed first, in combinations order, then rows are picked
+    from the first down, free entries in product order.  Points are kept
+    as residues, reduced against the rows so far and scaled to a leading
+    1, and grouped by residue: a row v adds group v to the meet.  The meet
+    only grows, so a branch is cut once its rank passes r; a pivot set is
+    skipped when its tail pivots[1:] carries no answer.
+    """
+    known = {(): ()}
+    for pivots in combinations(range(n), k):
+        rows = _first_rows(pivots, vecs, known, n, f, r)
+        if rows is not None:
+            return Flat(basis=rows, n=n, field=f)
+    return None
+
+
+def _first_rows(pivots, vecs, known, n, f, r):
+    """The first rows with exactly these pivots, or None, kept in known."""
+    if pivots not in known:
+        known[pivots] = None
+        # the rows after the first span a flat with pivots pivots[1:]
+        if _first_rows(pivots[1:], vecs, known, n, f, r) is not None:
+            groups = {v: (v,) for v in vecs if v.index(1) in pivots}
+            known[pivots] = _rows(groups, (), pivots, n, f, r)
+    return known[pivots]
+
+
+def _rows(groups, meet, pivots, n, f, r):
+    """first_flat's rows from pivots[0] on, given the groups and the meet."""
+    if not pivots:
+        return ()
+    p, later = pivots[0], pivots[1:]
+    cols = [range(f.q) if j > p and j not in later else (int(j == p),)
+            for j in range(n)]
+    for v in product(*cols):
+        grown = meet
+        for h in groups.get(v, ()):
+            new = reduce_row(h, grown, f)
+            grown += () if new is None else (new,)
+            if len(grown) > r:
+                break
+        else:
+            nxt = {}
+            for w, hs in groups.items():
+                if w[p] and w != v:
+                    w = reduce_row(w, ((p, v),), f)[1]
+                if w.index(1) in later:
+                    nxt[w] = nxt.get(w, ()) + hs
+            rows = _rows(nxt, grown, later, n, f, r)
+            if rows is not None:
+                return (v,) + rows
+    return None
+
+
 def critical_exponent(H):
     """Least c >= 1 such that some rank-(m-c) flat of span(H) avoids H.
 
-    Works in coordinates of the span, so only the rank m of H matters,
-    not the ambient: c = m - k for the largest rank k of a flat that
-    misses H (k < m, as H is not empty).  A span of more than
-    MAX_LISTED_POINTS points raises ValueError.
-
-    The search is depth-first over reduced echelon bases of flats, built
-    from the last row up.  A new row v has its leading 1 in a column p
-    left of every pivot so far and zeros in those pivot columns, so each
-    flat is reached once, and each partial basis spans a subflat that must
-    itself miss H.  Each point of H is kept reduced against the rows so
-    far, that is with zeros in their pivot columns, and scaled to a
-    leading 1.  A point h lies in the span of the rows and v exactly when
-    its residue is v, so a candidate row costs one set lookup.  A branch
-    whose next pivot is p ends at rank at most (rows so far) + 1 + p; it
-    is cut when that cannot beat the best rank found, and the search ends
-    once the next rank needs more points than lie off H.
+    In coordinates of the span, c = m - k for the largest rank k with room
+    off H at which first_flat finds a flat meeting H in rank 0; rank 0
+    always succeeds.  A span of more than MAX_LISTED_POINTS points raises
+    ValueError.
     """
     if not H.points:
         raise EmptyGeometry("critical exponent of the empty geometry")
     f = H.field
     m, _, coords = span_coordinates(H)
     off = _listable_size(m, f) - len(coords)
-    top = max(k for k in range(m) if pg_size(k, f) <= off)
-    best = 0
-
-    def grow(residues, pivots):
-        nonlocal best
-        best = max(best, len(pivots))
-        for p in range(min(pivots, default=m) - 1, -1, -1):
-            free = [j for j in range(p + 1, m) if j not in pivots]
-            for tail in product(range(f.q), repeat=len(free)):
-                if best == top or len(pivots) + 1 + p <= best:
-                    return
-                given = dict(zip(free, tail))
-                v = tuple(given.get(j, int(j == p)) for j in range(m))
-                if v not in residues:
-                    grow({reduce_row(r, ((p, v),), f)[1] for r in residues},
-                         pivots + [p])
-
-    grow(set(coords), [])
-    return m - best
+    for k in range(m - 1, -1, -1):
+        if pg_size(k, f) <= off and first_flat(coords, m, f, k, 0):
+            return m - k
 
 
 def complement_geometry(H):

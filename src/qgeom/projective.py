@@ -13,7 +13,7 @@ per subspace, so flats compare and hash structurally.  Rank here always
 means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
 
 reduce_row is the one elimination step over GF(q): rref, the embedding
-search and the critical-exponent search all reduce vectors through it.
+search and the flat search of first_flat all reduce vectors through it.
 """
 
 from __future__ import annotations

@@ -93,7 +93,9 @@ def test_invalid_input_exits_2(tmp_path):
                  ["critical", str(list_coord)],
                  ["extremal", str(empty), "-n", "2"],
                  ["make", "pg", "-m", "8", "-q", "16"],
-                 ["make", "pg", "-m", "3", "-q", "2305843009213693951"]):
+                 ["make", "pg", "-m", "3", "-q", "2305843009213693951"],
+                 ["make", "pg", "-m", "-3", "-q", "2"],
+                 ["make", "pg", "-m", "0", "-q", "2"]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert "error" in json.loads(r.stderr), argv

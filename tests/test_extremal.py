@@ -74,12 +74,18 @@ def test_whole_space_operations_share_the_listing_limit(monkeypatch):
         ex_exact(line, 10 ** 12)
     with pytest.raises(ValueError, match="above the limit"):
         find_sparse_flat(Geometry(field=F2, ambient=10 ** 12, points=()), 2, 1)
-    # the whole range is checked before the first search runs
+    # the whole range is checked before the first search runs, also for
+    # ranks below 1
     calls = []
     monkeypatch.setattr(qgeom.extremal, "ex_exact",
                         lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(qgeom.extremal, "critical_exponent",
+                        lambda *args, **kw: calls.append(args))
     with pytest.raises(ValueError, match="above the limit"):
         density_table(line, range(2, 10 ** 11))
+    for n_range in (range(0, 3), range(-2, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            density_table(line, n_range)
     assert calls == []
 
 
@@ -258,7 +264,7 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
     # searcher's set-up and the final re-check (a second searcher and a
     # map of the witness) call point_vec.
     calls = [0]
-    real = qgeom.extremal.point_vec
+    real = qgeom.embed.point_vec
 
     def counted(*args):
         calls[0] += 1
@@ -281,7 +287,6 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
         return search(self, host, order, host_ambient, *rest, **kw)
 
     monkeypatch.setattr(qgeom.embed, "point_vec", counted)
-    monkeypatch.setattr(qgeom.extremal, "point_vec", counted)
     monkeypatch.setattr(qgeom.extremal, "iter_canonical_vectors",
                         counted_iter)
     monkeypatch.setattr(EmbedSearcher, "_search", spy)
@@ -408,7 +413,7 @@ def test_find_sparse_flat_examples():
     assert len(hit) == 1
 
 
-@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
 def test_find_sparse_flat_matches_the_scan_without_the_cut(q, n):
     # random G of any density, and the dense G where the count decides: the
     # whole space, and the space minus one point fewer than, or exactly,
