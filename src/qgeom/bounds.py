@@ -60,17 +60,32 @@ def tower(c, s, digit_cap=DEFAULT_DIGIT_CAP):
     return BoundValue(kind="exact", value=val)
 
 
+def _ceil_log(x, q):
+    """Least integer k, negative ones included, with q^k >= x, for a
+    positive Fraction x and an integer q >= 2.
+
+    With bn and bd the bit lengths of x's numerator and denominator,
+    2^(bn-bd-1) < x < 2^(bn-bd+1), so q^k < x at k = min(-1, bn-bd-1) and
+    q^k >= x at k = max(0, bn-bd+1); bisection between the two takes
+    O(log log x) exact powers.
+    """
+    d = x.numerator.bit_length() - x.denominator.bit_length()
+    lo, hi = min(-1, d - 1), max(0, d + 1)
+    while hi - lo > 1:  # q^lo < x <= q^hi
+        mid = (lo + hi) // 2
+        if Fraction(q) ** mid >= x:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def ceil_log2(r):
     """Smallest integer k with 2^k >= r, for a positive rational r."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ceil_log2 needs a positive argument")
-    k = r.numerator.bit_length() - r.denominator.bit_length()
-    while Fraction(2) ** k < r:
-        k += 1
-    while Fraction(2) ** (k - 1) >= r:
-        k -= 1
-    return k
+    return _ceil_log(r, 2)
 
 
 def _ceil_minus_log2(a, eps):
@@ -108,24 +123,6 @@ def r_main2_binary(m, c, eps, digit_cap=DEFAULT_DIGIT_CAP):
     inner = _ceil_minus_log2(2, eps)
     d = ceil_log2(inner)
     return tower(c, m + d, digit_cap=digit_cap)
-
-
-def _ceil_log(x, q):
-    """Least integer k >= 0 with q^k >= x, for a rational x and q >= 2.
-
-    q^k >= 2^k > x at k = bit length of x's numerator minus that of its
-    denominator, plus 1; bisection below that bound takes O(log log x)
-    exact powers.
-    """
-    lo, hi = -1, max(0, x.numerator.bit_length()
-                     - x.denominator.bit_length() + 1)
-    while hi - lo > 1:  # q^lo < x (lo = -1: none yet) and q^hi >= x
-        mid = (lo + hi) // 2
-        if q ** mid >= x:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def smallest_t(f, c, r, eps):

@@ -36,6 +36,13 @@ the chain once: K_l is generated by the automorphisms that self-searches
 of H into H find with b_0..b_(l-1) pinned to themselves, all levels within
 one budget of |H| * rank * q candidate steps (see _chain).
 
+ex_exact's freeness test, find_through, asks for a copy of H in a host
+whose points other than the newest are H-free, so every copy goes through
+the new point.  When the found O_0 is the whole guest, b0 is pinned to the
+new point and the level-0 rule is off; any other guest gets find's plain
+search, whose embeddings all go through the new point by that
+precondition.
+
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
 """
@@ -119,13 +126,15 @@ class EmbedSearcher:
         self.levels = levels
 
         # Rule tables for the three uses: the self-searches (no rule), find
-        # (every level) and find anchored at b0 (every level below 0).
+        # (every level) and, only for a guest whose found O_0 is whole,
+        # find_through with b0 pinned (every level below 0).
         off = frozenset()
         self._no_rules = self._rule_table((off,) * self.m)
         self.orbits, self.symmetries, self.orbit_steps = self._chain(H, vecs)
         self.orbit = self.orbits[0] if self.m else off
         self._rules = self._rule_table(self.orbits)
-        self._anchored_rules = self._rule_table((off,) + self.orbits[1:])
+        self._anchored_rules = self._rule_table((off,) + self.orbits[1:]) \
+            if len(self.orbit) == self.size else None
 
     def _chain(self, H, vecs):
         """Orbits O_l of the basis points down a chain of stabilizers.
@@ -226,58 +235,48 @@ class EmbedSearcher:
                              if j != basis[i]) for i in range(self.m))
         return orbits, starts, checks
 
-    def find(self, host_indices, host_ambient, anchor=None):
+    def find(self, host_indices, host_ambient):
         """Search for an embedding into the given host point set.
 
         host_indices: set of point indices into PG(host_ambient - 1, q).
-        anchor: if given, a host point the image must contain.  Returns the
-        first EmbeddingWitness in candidate order, or None.
+        Returns the first EmbeddingWitness in candidate order, or None.
 
         This is the index-set front of _search: it builds the host map,
         from the canonical vector of each host point to its index in index
         order (one point_vec per host point), once per call, and turns the
-        raw hit _search returns into a witness.  A caller that keeps its
-        own map across many searches, as ex_exact does, calls _search
-        directly and builds no witness.
+        raw hit _search returns into a witness.  ex_exact keeps its own map
+        across many searches and calls find_through instead.
         """
         if self.m == 0:
-            return None if anchor is not None else \
-                EmbeddingWitness(map=(), point_map=())
-        if self.size > len(host_indices) or self.m > host_ambient or \
-                (anchor is not None and anchor not in host_indices):
+            return EmbeddingWitness(map=(), point_map=())
+        if self.size > len(host_indices) or self.m > host_ambient:
             return None
         order = sorted(host_indices)
         host = {point_vec(hi, host_ambient, self.f): hi for hi in order}
-        rules, top = self._rules, ()
-        if anchor is not None:
-            rules, pin = self._anchoring()
-            if pin:
-                top = ((point_vec(anchor, host_ambient, self.f), anchor),)
-                anchor = None
-        hit, _ = self._search(host, order, host_ambient, rules, top, anchor)
+        hit, _ = self._search(host, order, host_ambient, self._rules)
         return None if hit is None else self._witness(*hit)
 
-    def _anchoring(self):
-        """_search's rules for a search anchored at a host point, and
-        whether the anchor is pinned as b0's image (True: top is the
-        anchor's (vector, index) pair) or passed as _search's anchor.
+    def find_through(self, host, order, host_ambient, new):
+        """ex_exact's freeness test: is there a copy of H through new?
 
-        A guest whose found O_0 is all of its points has b0 pinned to the
-        anchor and the level-0 rule turned off: if phi(g) is the anchor,
-        pick sigma in K_0 with sigma(b0) = g, and phi o sigma has the same
-        image set and maps b0 to the anchor.  The deeper levels keep their
-        rules, since K_1, K_2, ... fix b0 as a vector.  Any other guest
-        keeps every rule and accepts only a full embedding whose image
-        contains the anchor; every embedding the rule drops has the image
-        set of one it keeps, so this too misses no image set.
+        host and order are as _search takes them; new is the (canonical
+        vector, index) pair of a host point, and the host without it must
+        be H-free, so every embedding goes through new.  Returns _search's
+        first raw hit, or None.  The guest must have a point.
+
+        A guest whose found O_0 is all of its points has b0 pinned to new
+        and the level-0 rule off: if phi(g) is new, pick sigma in K_0 with
+        sigma(b0) = g; phi o sigma has the same image set and maps b0 to
+        new.  The deeper levels keep their rules, since K_1, K_2, ... fix
+        b0 as a vector.  Any other guest gets find's plain search.
         """
-        if len(self.orbit) == self.size:
-            return self._anchored_rules, True
-        return self._rules, False
+        if self._anchored_rules is None:
+            return self._search(host, order, host_ambient, self._rules)[0]
+        return self._search(host, order, host_ambient, self._anchored_rules,
+                            (new,))[0]
 
-    def _search(self, host, order, host_ambient, rules, top=(), anchor=None,
-                cap=None):
-        """The backtracking core of find, and of ex_exact's freeness tests.
+    def _search(self, host, order, host_ambient, rules, top=(), cap=None):
+        """The backtracking core of find, find_through and _chain.
 
         host: a dict from the canonical vector of each host point to its
         index, in index order; the caller builds it (find once per call,
@@ -287,8 +286,7 @@ class EmbedSearcher:
         the pinned prefix, (canonical vector, index) pairs of the host
         points that levels 0..len(top)-1 take as their images, so _search
         computes no vector; every pinned level but the last keeps scalar
-        1, so the prefix is pinned as vectors.  anchor: a host point every
-        accepted embedding's image contains, if given.  cap: raise
+        1, so the prefix is pinned as vectors.  cap: raise
         _OutOfSteps rather than try more host candidates than this, over
         all levels.  Returns the raw hit, the scalar-times-image rows
         lambda_i * w_i of the basis and the host point of each guest point
@@ -384,12 +382,9 @@ class EmbedSearcher:
                                 break  # w is in span(w_0..w_(i-1))
                             echelon[i] = r
                         scaled[i] = tuple(map(mul[lam].__getitem__, w))
-                        if i + 1 < m:
-                            hit = backtrack(i + 1)
-                        elif anchor is None or anchor in images:
-                            hit = tuple(scaled), tuple(images[:-1])
-                        else:
-                            hit = None
+                        if i + 1 == m:
+                            return tuple(scaled), tuple(images[:-1])
+                        hit = backtrack(i + 1)
                         if hit is not None:
                             return hit
             return None

@@ -4,8 +4,11 @@ ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
 |current set| + points still undecided.  The current set is H-free by
 invariant, so every copy of H in the set plus p goes through p: including
-p is checked by one embedding search into the set plus p anchored at p,
-which looks only for embeddings whose image contains p.
+p is checked by one freeness test, EmbedSearcher.find_through, into the
+set plus p.  When the searcher finds the orbit O_0 of H's first point to
+be all of H, the test pins that point's image to p; otherwise it is
+find's plain search, and the invariant makes every embedding it finds go
+through p.
 
 The search keeps one host map, from the canonical vector of each chosen
 point to its index, for the whole search and hands it to the search core
@@ -99,7 +102,6 @@ def ex_exact(H, n, budget=None):
     total = _listable_size(n, f)
     budget = _checked(budget)
     searcher = EmbedSearcher(H)
-    rules, pin = searcher._anchoring()
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []
@@ -137,11 +139,7 @@ def ex_exact(H, n, budget=None):
         v = vecs[i]
         chosen.append(i)
         host[v] = i
-        if pin:
-            hit = searcher._search(host, chosen, n, rules, ((v, i),))[0]
-        else:
-            hit = searcher._search(host, chosen, n, rules, (), i)[0]
-        if hit is None:
+        if searcher.find_through(host, chosen, n, (v, i)) is None:
             stack += (-1, i + 1)
         else:
             chosen.pop()

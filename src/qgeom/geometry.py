@@ -38,6 +38,9 @@ class Geometry:
     # The checks keep their own method: bench/tracing.py counts
     # constructions by wrapping it.
     def __post_init__(self):
+        if self.ambient < 1:
+            raise ValueError("ambient rank must be at least 1, not %r"
+                             % (self.ambient,))
         pts = tuple(sorted(self.points))
         if len(pts) != len(set(pts)):
             raise ValueError("duplicate points: geometries are simple point sets")

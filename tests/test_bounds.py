@@ -17,7 +17,7 @@ from qgeom import (
     span,
     tower,
 )
-from qgeom.bounds import BoundValue, binary_base, ceil_log2
+from qgeom.bounds import BoundValue, _ceil_log, binary_base, ceil_log2
 
 F2 = field_make(2)
 
@@ -54,6 +54,20 @@ def test_ceil_log2_exact_boundaries():
     assert ceil_log2(Fraction(4)) == 2
     assert ceil_log2(Fraction(1, 2)) == -1
     assert ceil_log2(Fraction(5, 4)) == 1
+
+
+@pytest.mark.parametrize("q", [3, 16])
+def test_ceil_log_exact_boundaries(q):
+    tiny = Fraction(1, 10 ** 60)
+    for k in range(-40, 40):
+        power = Fraction(q) ** k
+        assert _ceil_log(power, q) == k
+        assert _ceil_log(power + tiny, q) == k + 1
+        assert _ceil_log(power - tiny, q) == k
+    assert _ceil_log(Fraction(1, q + 1), q) == -1
+    assert _ceil_log(Fraction(1, q * q + 1), q) == -2
+    assert _ceil_log(Fraction(1, 2), q) == 0
+    assert _ceil_log(Fraction(q + 1), q) == 2
 
 
 def test_r_mdhj_binary_examples():

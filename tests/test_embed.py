@@ -514,7 +514,7 @@ def _core_witness(s, order, n, *args, **kw):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_chain_keeps_the_first_witness(q):
     # every level's rule keeps the first embedding in candidate order, so
-    # find returns what the search without any rule returns, anchored too
+    # find returns what the search without any rule returns
     f = field_make(q)
     rng = random.Random(50 + q)
     guests = [make_pg(3, f), make_ag(3, f), _line_and_point(f),
@@ -527,22 +527,14 @@ def test_chain_keeps_the_first_witness(q):
     seen = []
     for guest in guests:
         s = EmbedSearcher(guest)
-        transitive = len(s.orbit) == s.size
         for n in (s.m, s.m + 1) if pg_size(s.m + 1, f) <= 40 else (s.m,):
             total = pg_size(n, f)
             for _ in range(4):
                 keep = rng.uniform(0.3, 1)
                 host = frozenset(i for i in range(total) if rng.random() < keep)
-                order = sorted(host)
                 w = s.find(host, n)
-                assert w == _core_witness(s, order, n, s._no_rules)
+                assert w == _core_witness(s, sorted(host), n, s._no_rules)
                 seen.append(w is not None)
-                for p in rng.sample(order, min(len(order), 2)):
-                    pin = ((point_vec(p, n, f), p),)
-                    expect = _core_witness(s, order, n, s._no_rules, pin) \
-                        if transitive else \
-                        _core_witness(s, order, n, s._no_rules, anchor=p)
-                    assert s.find(host, n, anchor=p) == expect
     assert True in seen and False in seen
 
 
@@ -559,8 +551,8 @@ def test_chain_cuts_deeper_levels():
     assert steps < steps_0
 
 
-# (guest, whether the anchored search fixes b0's image to the anchor):
-# point-transitive guests do, the others filter full embeddings
+# (guest, whether the freeness test fixes b0's image to the new point):
+# point-transitive guests do, the others run find's plain search
 ANCHOR_GUESTS = [
     (make_pg(2, F3), True), (make_ag(2, F3), True), (make_pg(3, F2), True),
     (make_ag(3, F3), True), (make_g(3, F2, 2), True),
@@ -569,32 +561,57 @@ ANCHOR_GUESTS = [
 ]
 
 
+def _random_free_set(images, total, rng):
+    # a random H-free set: points in random order, each kept with a random
+    # probability unless it would complete some image set of H
+    through = {}
+    for img in images:
+        for x in img:
+            through.setdefault(x, []).append(img)
+    keep, free = rng.uniform(0.3, 1), set()
+    for x in rng.sample(range(total), total):
+        if rng.random() < keep and not any(
+                img - {x} <= free for img in through.get(x, ())):
+            free.add(x)
+    return free
+
+
 @pytest.mark.parametrize("guest, transitive", ANCHOR_GUESTS)
 def test_anchored_find_matches_oracle(guest, transitive):
-    # find(host, anchor=p) finds an embedding exactly when some copy of the
-    # guest inside the host goes through p, and its image contains p
+    # find_through on an H-free set plus a point p finds an embedding
+    # exactly when some copy of the guest in the host goes through p, and
+    # it is the first embedding in candidate order: the first with b0 at p
+    # when b0 is pinned, else find's
     f = guest.field
     m = geometry_rank(guest)
     s = EmbedSearcher(guest)
     assert (len(s.orbit) == len(guest)) == transitive
+    assert (s._anchored_rules is not None) == transitive
     rng = random.Random(7 * len(guest) + f.q + m)
     seen = set()
     for n in (3, 4) if m == 2 or f.q == 2 else (3,):
         total = pg_size(n, f)
         images = _image_sets(guest, n)
         for _ in range(12):
-            keep = rng.uniform(0.4, 1)
-            host = frozenset(i for i in range(total) if rng.random() < keep)
-            host_geometry = Geometry(field=f, ambient=n,
-                                     points=tuple(sorted(host)))
-            for p in rng.sample(range(total), min(total, 5)):
-                w = s.find(host, n, anchor=p)
-                expect = p in host and any(
-                    p in img and img <= host for img in images)
-                assert (w is not None) == expect, (sorted(host), p)
+            free = _random_free_set(images, total, rng)
+            assert not any(img <= free for img in images)
+            outside = sorted(set(range(total)) - free)
+            for p in rng.sample(outside, min(len(outside), 3)):
+                order = sorted(free | {p})
+                new = (point_vec(p, n, f), p)
+                hit = s.find_through(_host_map(order, n, f), order, n, new)
+                expect = any(img <= free | {p} for img in images)
+                assert (hit is not None) == expect, (order, p)
+                w = None if hit is None else s._witness(*hit)
+                if transitive:
+                    first = _core_witness(s, order, n, s._no_rules, (new,))
+                else:
+                    first = s.find(frozenset(order), n)
+                assert w == first
                 if w is not None:
                     assert p in w.point_map
-                    assert verify_witness(host_geometry, guest, w)
+                    host = Geometry(field=f, ambient=n, points=tuple(order))
+                    assert verify_witness(host, guest, w)
                 seen.add(w is not None)
     assert seen == {True, False}
 

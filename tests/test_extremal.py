@@ -184,35 +184,60 @@ def test_branch_and_bound_matches_naive_oracle(H, n):
 ])
 def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     # H is point-transitive, so each freeness test fixes b0's image to the
-    # new point, the greatest in the set, with the level-0 rule off; the
-    # final re-check is unanchored
+    # new point, the greatest in the set, with the level-0 rule off
     expect = brute_force_ex(H, n)
     calls = []
-    search = EmbedSearcher._search
+    through = EmbedSearcher.find_through
 
-    def spy(self, host, host_order, host_ambient, rules, top=(), *rest,
-            **kw):
-        if host_ambient == n:  # not a self-search of H into itself
-            orbits = rules[0]
-            p = host_order[-1]
-            calls.append(top == ((point_vec(p, n, H.field), p),)
-                         and not orbits[0])
-        return search(self, host, host_order, host_ambient, rules, top,
-                      *rest, **kw)
+    def spy(self, host, host_order, host_ambient, new):
+        p = host_order[-1]
+        calls.append(new == (point_vec(p, n, H.field), p)
+                     and not self._anchored_rules[0][0])
+        return through(self, host, host_order, host_ambient, new)
 
-    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
     assert (res.value, res.status) == (expect, "exact")
-    assert len(calls) > 1 and all(calls[:-1]) and not calls[-1]
+    assert len(calls) > 1 and all(calls)
 
 
 LINE_AND_POINT = _points(F2, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+LINE_AND_POINT_3 = _points(F3, [(1, 0, 0), (1, 1, 0), (1, 2, 0), (0, 1, 0),
+                                (0, 0, 1)])
+TRIANGLE_AND_POINT = _points(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                  (1, 0, 1)])
+
+
+@pytest.mark.parametrize("H, n", [
+    (LINE_AND_POINT, 3), (LINE_AND_POINT, 4), (LINE_AND_POINT_3, 3),
+    (TRIANGLE_AND_POINT, 3), (TRIANGLE_AND_POINT, 4),
+])
+def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
+        H, n, monkeypatch):
+    # H is not point-transitive, so each freeness test is find's plain
+    # search with no anchor; the set without the new point is H-free, so
+    # every hit goes through the new point all the same
+    expect = brute_force_ex(H, n)
+    hits = []
+    through = EmbedSearcher.find_through
+
+    def spy(self, host, host_order, host_ambient, new):
+        assert self._anchored_rules is None
+        hit = through(self, host, host_order, host_ambient, new)
+        if hit is not None:
+            hits.append(new[1] in hit[1])
+        return hit
+
+    monkeypatch.setattr(EmbedSearcher, "find_through", spy)
+    res = ex_exact(H, n)
+    assert (res.value, res.status) == (expect, "exact")
+    assert len(hits) > 1 and all(hits)
 
 
 @pytest.mark.parametrize("H, n, budget, expect", [
     # point-transitive: each freeness test pins b0 to the new point
     (make_pg(2, F2), 4, None, (8, "exact", 178)),
-    # not point-transitive: the anchored path filters full embeddings
+    # not point-transitive: each freeness test is find's plain search
     (LINE_AND_POINT, 4, None, None),
     # stopped by the node cap with part of the stack still to unwind
     (make_pg(2, F2), 5, Budget(node_cap=200), (None, "lower-bound", 200)),
@@ -221,26 +246,22 @@ def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
                                               monkeypatch):
     # at every freeness test the map ex_exact hands the search core is the
     # one find would build for the chosen points plus the new one, in index
-    # order, and the new point, the anchor, is the last of them
+    # order, and the new point is the last of them
     f = H.field
     calls = []
-    search = EmbedSearcher._search
+    through = EmbedSearcher.find_through
 
-    def spy(self, host, order, host_ambient, rules, top=(), anchor=None,
-            cap=None):
-        if host_ambient == n:  # not a self-search of H into itself
-            assert list(order) == sorted(set(order))
-            assert list(host.items()) == [(point_vec(i, n, f), i)
-                                          for i in order]
-            calls.append((top[0][1] if top else anchor) == order[-1])
-        return search(self, host, order, host_ambient, rules, top, anchor,
-                      cap)
+    def spy(self, host, order, host_ambient, new):
+        assert host_ambient == n
+        assert list(order) == sorted(set(order))
+        assert list(host.items()) == [(point_vec(i, n, f), i)
+                                      for i in order]
+        calls.append(new == (point_vec(order[-1], n, f), order[-1]))
+        return through(self, host, order, host_ambient, new)
 
-    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n, budget)
-    # every call but the last is a freeness test; the last is the final
-    # unanchored re-check of the witness
-    assert len(calls) > 2 and all(calls[:-1]) and not calls[-1]
+    assert len(calls) > 2 and all(calls)
     assert is_free(res.witness, H)
     if expect is not None:
         value, status, nodes = expect

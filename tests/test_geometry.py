@@ -189,6 +189,15 @@ def test_geometry_rejects_bad_point_indices(points):
         Geometry(field=F2, ambient=3, points=points)
 
 
+@pytest.mark.parametrize("ambient", [-3, 0])
+@pytest.mark.parametrize("q", [2, 3])
+def test_geometry_rejects_ambient_below_1(ambient, q):
+    # refused before pg_size, which gives -1.0 for rank -3 over GF(3)
+    for points in ((), (0,)):
+        with pytest.raises(ValueError, match="ambient rank must be at least"):
+            Geometry(field=field_make(q), ambient=ambient, points=points)
+
+
 def test_make_g_rejects_c_above_m():
     with pytest.raises(ValueError):
         make_g(3, F2, 7)
