@@ -160,8 +160,8 @@ class EmbedSearcher:
         basis, coords = self.basis, self.coords
         cap = self.size * self.m * f.q
         used = 0
-        own = dict(zip(vecs, H.points))  # H's own map, built once
-        position = {p: j for j, p in enumerate(H.points)}
+        # H's own map, to positions, so a hit's point map is a permutation
+        own = {v: j for j, v in enumerate(vecs)}
         orbits = [frozenset((b,)) for b in basis]
         perms = []
 
@@ -183,7 +183,7 @@ class EmbedSearcher:
                         return [on_line(basis[k], vecs[g])
                                 for k in range(level)]
                 base = counts(b)
-                prefix = tuple((vecs[k], H.points[k]) for k in basis[:level])
+                prefix = tuple((vecs[k], k) for k in basis[:level])
                 first = len(perms)  # this level's permutations start here
                 orbit = {b}
                 for g in range(self.size):
@@ -191,12 +191,12 @@ class EmbedSearcher:
                             counts(g) != base:
                         continue
                     hit, steps = self._search(
-                        own, H.points, H.ambient, self._no_rules,
-                        prefix + ((vecs[g], H.points[g]),), cap=cap - used)
+                        own, range(self.size), H.ambient, self._no_rules,
+                        prefix + ((vecs[g], g),), cap=cap - used)
                     used += steps
                     if hit is None:
                         continue
-                    perms.append(tuple(position[p] for p in hit[1]))
+                    perms.append(hit[1])
                     todo = list(orbit)
                     while todo:
                         j = todo.pop()
@@ -405,10 +405,13 @@ def contains(G, H):
     """Witness that H is a restriction of G, or None if it is not.
 
     Deterministic: host points are tried in index order, so the witness
-    is the first embedding in that order.
+    is the first embedding in that order.  FieldMismatch is raised across
+    fields; a guest larger than G is refused before its searcher is built.
     """
     if G.field != H.field:
         raise FieldMismatch("host and guest live over different fields")
+    if len(H) > len(G):
+        return None
     return EmbedSearcher(H).find(G.point_set, G.ambient)
 
 
@@ -419,8 +422,11 @@ def verify_witness(G, H, w):
     rank, every guest point maps (in span coordinates) to exactly the
     claimed host point, and every claimed host point belongs to G.  Any
     other entry gives False: a negative one would otherwise index the
-    field tables from the end.
+    field tables from the end.  G and H over different fields give False
+    too, where contains raises FieldMismatch.
     """
+    if G.field != H.field:
+        return False
     f = H.field
     m, _, coords = span_coordinates(H)
     if len(w.map) != m or len(w.point_map) != len(coords):

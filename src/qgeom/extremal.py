@@ -44,7 +44,7 @@ from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry
 from .geometry import (Geometry, _listable_size, critical_exponent,
                        first_flat, g_size)
-from .projective import iter_canonical_vectors, pg_size
+from .projective import iter_canonical_vectors
 
 
 class Budget(namedtuple("Budget", "node_cap time_cap",
@@ -163,18 +163,15 @@ def bose_burton_value(m, n, f):
 def find_sparse_flat(G, m, c):
     """A rank-m flat F of the ambient PG with rank(F intersect G) <= m - c.
 
-    Such an F meets G inside a rank-(m-c) flat, so at least
-    pg_size(m) - pg_size(m-c) of its points lie off G: when the ambient
-    has fewer points off G, None is returned at once.  Otherwise returns
-    first_flat's answer: the first such F in iter_flats order, or None.
-    An ambient of more than MAX_LISTED_POINTS points raises ValueError.
+    Returns first_flat's answer: the first such F in iter_flats order, or
+    None.  The counting cut lives in first_flat: such an F has at least
+    pg_size(m) - pg_size(m-c) points off G, so None comes at once when the
+    ambient has fewer.  An ambient of more than MAX_LISTED_POINTS points
+    raises ValueError there.
     """
     if not 1 <= c < m <= G.ambient:
         raise ValueError("sparse-flat needs 1 <= c < m <= ambient rank")
-    f, n = G.field, G.ambient
-    if _listable_size(n, f) - len(G) < pg_size(m, f) - pg_size(m - c, f):
-        return None
-    return first_flat(G.point_vecs(), n, f, m, m - c)
+    return first_flat(G.point_vecs(), G.ambient, G.field, m, m - c)
 
 
 def density_table(H, n_range, budget=None):

@@ -11,6 +11,10 @@ serialized files are reproducible across runs:
     GF(9)  : x^2 + 2x + 2
     GF(16) : x^4 + x + 1
 
+field_make reads p and k off q and this table, which every non-prime
+prime power up to 16 is in: p is q's least divisor above 1, k the
+degree of q's modulus or 1, and q is a prime power iff p^k = q.
+
 FieldSpec builds its addition and multiplication tables once, straight
 from these digits: addition is digit-wise mod p (a plain XOR when p = 2)
 and multiplication is the polynomial product reduced mod the modulus.
@@ -36,24 +40,6 @@ _MODULI = {
     9: (2, 2, 1),
     16: (1, 1, 0, 0, 1),
 }
-
-
-def _prime_power(q):
-    """Return (p, k) with q = p^k for prime p, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q and p < q:
-            break
-        if q % p:
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return (q, 1)
 
 
 def _digits(code, p, k):
@@ -88,7 +74,38 @@ def _poly_mul_mod(a, b, modulus, p):
     return prod[:k] + [0] * (k - len(prod))
 
 
-class FieldSpec:
+class _Value:
+    """An immutable value: equality, hashing, repr and pickling read the
+    fields named in _KEY, which are also its constructor's arguments."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._KEY)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self._KEY, self._key())))
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class FieldSpec(_Value):
     """Immutable description of GF(q) plus its arithmetic tables.
 
     modulus is empty when k == 1.  The tables are derived from (p, k,
@@ -101,6 +118,7 @@ class FieldSpec:
 
     __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "shift",
                  "unit", "_neg", "_inv")
+    _KEY = __slots__[:4]
 
     def __init__(self, p, k, q, modulus):
         digits = [_digits(a, p, k) for a in range(q)]
@@ -122,29 +140,6 @@ class FieldSpec:
         for name, value in zip(self.__slots__, (p, k, q, modulus, add, mul,
                                                 shift, unit, neg, inv)):
             object.__setattr__(self, name, value)
-
-    def _key(self):
-        return self.p, self.k, self.q, self.modulus
-
-    def __eq__(self, other):
-        if type(other) is not FieldSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "FieldSpec(p=%r, k=%r, q=%r, modulus=%r)" % self._key()
-
-    def __reduce__(self):
-        return FieldSpec, self._key()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FieldSpec is immutable")
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -169,16 +164,18 @@ def field_make(q: int) -> FieldSpec:
     """Construct GF(q) with the frozen canonical modulus.
 
     Raises Unsupported when q exceeds the cap of 16, before q is factored,
-    so no q read from a file or argv costs a trial division; below the
-    cap, raises NotPrimePower when q is not a prime power.
+    so no q read from a file or argv costs a trial division.  Below it, p
+    is q's least divisor above 1 and k the degree of q's frozen modulus,
+    or 1 when q has none; NotPrimePower is raised unless p^k = q.
     """
     if q > MAX_Q:
         raise Unsupported("q = %d exceeds the supported cap %d" % (q, MAX_Q))
-    pk = _prime_power(q)
-    if pk is None:
+    modulus = _MODULI.get(q, ())
+    k = max(len(modulus) - 1, 1)
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    if p is None or p ** k != q:
         raise NotPrimePower("q = %d is not a prime power" % q)
-    p, k = pk
-    return FieldSpec(p=p, k=k, q=q, modulus=_MODULI[q] if k > 1 else ())
+    return FieldSpec(p=p, k=k, q=q, modulus=modulus)
 
 
 def fe_add(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:

@@ -15,24 +15,23 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import EmptyGeometry
-from .field import field_make
+from .field import _Value, field_make
 from .projective import (Flat, flat_points, pg_size, point_index, point_vec,
                          reduce_row, rref, span)
 
 
-class Geometry:
+class Geometry(_Value):
     """An immutable point set of PG(ambient-1, q) over the FieldSpec field.
 
     points is stored sorted and duplicate-free; len() is the point count.
     Equality and hashing use (field, ambient, points).
     """
 
-    __slots__ = ("field", "ambient", "points")
+    __slots__ = _KEY = ("field", "ambient", "points")
 
     def __init__(self, field, ambient, points):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "points", points)
+        for name, value in zip(self._KEY, (field, ambient, points)):
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     # The checks keep their own method: bench/tracing.py counts
@@ -57,29 +56,6 @@ class Geometry:
 
     def __len__(self):
         return len(self.points)
-
-    def _key(self):
-        return self.field, self.ambient, self.points
-
-    def __eq__(self, other):
-        if type(other) is not Geometry:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Geometry(field=%r, ambient=%r, points=%r)" % self._key()
-
-    def __reduce__(self):
-        return Geometry, self._key()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Geometry is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Geometry is immutable")
 
 
 # Every operation over a whole space (make_pg, make_g, complement_geometry,
@@ -163,7 +139,13 @@ def first_flat(vecs, n, f, k, r):
     1, and grouped by residue: a row v adds group v to the meet.  The meet
     only grows, so a branch is cut once its rank passes r; a pivot set is
     skipped when its tail pivots[1:] carries no answer.
+
+    The counting cut lives here: such a flat has pg_size(k) - pg_size(r)
+    points or more off vecs, so None comes at once when the space has
+    fewer.  A space of more than MAX_LISTED_POINTS points raises ValueError.
     """
+    if _listable_size(n, f) - len(vecs) < pg_size(k, f) - pg_size(r, f):
+        return None
     known = {(): ()}
     for pivots in combinations(range(n), k):
         rows = _first_rows(pivots, vecs, known, n, f, r)
@@ -213,18 +195,17 @@ def _rows(groups, meet, pivots, n, f, r):
 def critical_exponent(H):
     """Least c >= 1 such that some rank-(m-c) flat of span(H) avoids H.
 
-    In coordinates of the span, c = m - k for the largest rank k with room
-    off H at which first_flat finds a flat meeting H in rank 0; rank 0
-    always succeeds.  A span of more than MAX_LISTED_POINTS points raises
-    ValueError.
+    In coordinates of the span, c = m - k for the largest rank k at which
+    first_flat finds a flat meeting H in rank 0, trying the ranks from the
+    top down; rank 0 always succeeds.  first_flat's counting cut skips a
+    rank with too little room off H, and a span of more than
+    MAX_LISTED_POINTS points raises ValueError there.
     """
     if not H.points:
         raise EmptyGeometry("critical exponent of the empty geometry")
-    f = H.field
     m, _, coords = span_coordinates(H)
-    off = _listable_size(m, f) - len(coords)
     for k in range(m - 1, -1, -1):
-        if pg_size(k, f) <= off and first_flat(coords, m, f, k, 0):
+        if first_flat(coords, m, H.field, k, 0):
             return m - k
 
 

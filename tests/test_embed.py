@@ -20,6 +20,7 @@ from qgeom import (
     field_make,
     flat_points,
     geometry_rank,
+    is_free,
     make_ag,
     make_g,
     make_pg,
@@ -186,6 +187,28 @@ def test_bose_burton_host_never_contains_pg(q):
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         contains(make_pg(2, F2), make_pg(2, F3))
+
+
+def test_verify_rejects_a_witness_across_fields():
+    # by the GF(2) guest's arithmetic the map sends its points to indices
+    # that are points of the host, but the host is over GF(3)
+    host, guest = make_pg(2, F3), make_pg(2, F2)
+    w = EmbeddingWitness(map=((0, 1), (1, 0)), point_map=(1, 0, 2))
+    assert verify_witness(host, guest, w) is False
+    with pytest.raises(FieldMismatch):
+        contains(host, guest)
+
+
+def test_larger_guest_is_refused_before_its_searcher(monkeypatch):
+    # PG(3, 9) has 820 points and PG(1, 9) 10: no searcher, and so no
+    # stabilizer chain, is built for a guest that cannot fit
+    def refuse(H):
+        raise AssertionError("searcher built for a guest larger than the host")
+
+    monkeypatch.setattr("qgeom.embed.EmbedSearcher", refuse)
+    host, guest = make_pg(2, F9), make_pg(4, F9)
+    assert contains(host, guest) is None
+    assert is_free(host, guest) is True
 
 
 def test_empty_guest_is_contained_everywhere():

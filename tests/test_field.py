@@ -16,13 +16,25 @@ def test_field_make_gf9():
     f = field_make(9)
     assert (f.p, f.k) == (3, 2)
     assert f.modulus == (2, 2, 1)  # x^2 + 2x + 2
+    assert repr(f) == "FieldSpec(p=3, k=2, q=9, modulus=(2, 2, 1))"
 
 
 def test_field_make_rejects_non_prime_power():
-    with pytest.raises(NotPrimePower):
-        field_make(6)
-    with pytest.raises(NotPrimePower):
-        field_make(12)
+    for q in (-1, 0, 1, 6, 10, 12, 14, 15):
+        with pytest.raises(NotPrimePower):
+            field_make(q)
+
+
+# (p, k) with q = p^k, for every q in SUPPORTED
+FACTORS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+           9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
+
+
+@pytest.mark.parametrize("q", SUPPORTED)
+def test_field_make_factors_every_supported_q(q):
+    f = field_make(q)
+    assert (f.p, f.k, f.q) == FACTORS[q] + (q,)
+    assert f.modulus == _MODULI.get(q, ())
 
 
 def test_field_make_rejects_large():

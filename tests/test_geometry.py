@@ -198,6 +198,21 @@ def test_geometry_rejects_ambient_below_1(ambient, q):
             Geometry(field=field_make(q), ambient=ambient, points=points)
 
 
+def test_geometry_repr_is_pinned():
+    G = Geometry(field=F2, ambient=2, points=(2, 0))
+    assert repr(G) == ("Geometry(field=FieldSpec(p=2, k=1, q=2, modulus=()),"
+                       " ambient=2, points=(0, 2))")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_field_spec_never_equals_a_geometry(q):
+    f = field_make(q)
+    for G in (make_pg(1, f), make_pg(2, f),
+              Geometry(field=f, ambient=1, points=())):
+        assert not (f == G or G == f)
+    assert len({f, make_pg(2, f)}) == 2
+
+
 def test_make_g_rejects_c_above_m():
     with pytest.raises(ValueError):
         make_g(3, F2, 7)
