@@ -5,21 +5,19 @@ rationals against powers of 2, never through floating point, because the
 interesting epsilons are exact powers of 2 sitting right on the boundary.
 
 Tower values switch to a symbolic descriptor once the exact integer would
-exceed a configurable digit cap; the descriptor keeps the remaining tower
-height and the exact top argument.
+exceed the digit cap, DIGIT_CAP decimal digits; the descriptor keeps the
+remaining tower height and the exact top argument.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidEpsilon, Unsupported
 
-# Exact values are kept while the pending exponent stays below this many
-# bits (= digit cap of 10^4 decimal digits, the package default).
-DEFAULT_DIGIT_CAP = 10_000
-_BITS_PER_DIGIT = Fraction(10, 3)  # slight overestimate of log2(10) is fine
+# Exact values are kept while the pending exponent stays below _BITS_CAP
+# bits, DIGIT_CAP decimal digits at a slight overestimate of log2(10).
+DIGIT_CAP = 10_000
+_BITS_CAP = DIGIT_CAP * 10 // 3
 
 
 class BoundValue(namedtuple("BoundValue", "kind value height arg",
@@ -37,11 +35,7 @@ class BoundValue(namedtuple("BoundValue", "kind value height arg",
         return self.value
 
 
-def _bits_cap(digit_cap):
-    return int(digit_cap * _BITS_PER_DIGIT)
-
-
-def tower(c, s, digit_cap=DEFAULT_DIGIT_CAP):
+def tower(c, s):
     """T_c(s) with T_0(s) = s and T_i(s) = T_{i-1}(2^s).
 
     Returns an exact BoundValue while the result fits the digit cap,
@@ -50,10 +44,9 @@ def tower(c, s, digit_cap=DEFAULT_DIGIT_CAP):
     """
     if c < 0 or s < 0:
         raise ValueError("tower needs c >= 0 and s >= 0")
-    bits_cap = _bits_cap(digit_cap)
     height, val = c, s
     while height > 0:
-        if val > bits_cap:
+        if val > _BITS_CAP:
             return BoundValue(kind="tower-symbolic", height=height, arg=val)
         val = 2 ** val
         height -= 1
@@ -110,7 +103,7 @@ def binary_base(m, q, eps):
     return r_mdhj_binary(m, eps)
 
 
-def r_main2_binary(m, c, eps, digit_cap=DEFAULT_DIGIT_CAP):
+def r_main2_binary(m, c, eps):
     """The binary closed-form tower bound T_c(m + d).
 
     d = ceil(log2(ceil(2 - log2 eps))), all computed exactly.
@@ -122,7 +115,7 @@ def r_main2_binary(m, c, eps, digit_cap=DEFAULT_DIGIT_CAP):
         raise ValueError("r_main2_binary needs m > c >= 1")
     inner = _ceil_minus_log2(2, eps)
     d = ceil_log2(inner)
-    return tower(c, m + d, digit_cap=digit_cap)
+    return tower(c, m + d)
 
 
 def smallest_t(f, c, r, eps):
@@ -167,7 +160,7 @@ def r_main2_recursive(m, f, c, eps, base):
     Returns the value together with the full call trace.
 
     Raises Unsupported when the rank m of a level, the top one or a base
-    rank r fed down, has more bits than the default digit cap allows:
+    rank r fed down, has more bits than the digit cap allows:
     the level would build integers of about 2^m.
     """
     eps = Fraction(eps)
@@ -175,10 +168,9 @@ def r_main2_recursive(m, f, c, eps, base):
         raise InvalidEpsilon("recursive epsilon dropped to a nonpositive value")
     if m < 1 or c < 1:
         raise ValueError("r_main2_recursive needs m >= 1 and c >= 1")
-    bits_cap = _bits_cap(DEFAULT_DIGIT_CAP)
-    if m > bits_cap:
+    if m > _BITS_CAP:
         raise Unsupported("rank %d at recursion level c=%d is above the "
-                          "%d-bit budget of the digit cap" % (m, c, bits_cap))
+                          "%d-bit budget of the digit cap" % (m, c, _BITS_CAP))
     q = f.q
     if c == 1:
         v = base(m, q, eps)

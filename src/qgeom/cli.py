@@ -4,13 +4,14 @@ Subcommands: make, critical, contains, extremal, density, sparse-flat,
 bounds.  Geometries travel as JSON files in the documented schema; exact
 rationals cross the boundary as "num/den" strings.  Exit codes: 0 success,
 1 negative answer (contains / sparse-flat found nothing), 2 on any parse
-or contract failure, reported as a machine-readable error object.
+or contract failure, argparse usage errors included, reported as a
+machine-readable error object.
 
 bounds --eps takes a positive integer or "num/den", at most
 MAX_EPS_DIGITS digits each; --mode recursive refuses (Unsupported) a
-recursion level whose rank has more bits than the default digit cap.
+recursion level whose rank has more bits than the digit cap.
 bounds prints every integer in full, also past the 4,300 digits that
-str() refuses since Python 3.11.
+str() refuses by default since Python 3.11.
 
 Searches in this implementation are single-threaded and deterministic;
 --threads (default from QGEOM_THREADS, which must then be a positive
@@ -19,8 +20,6 @@ integer) and --deterministic are accepted for interface stability.
 Each subcommand imports the modules it uses when it runs, so a process
 pays start-up only for those.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -52,29 +51,6 @@ def _parse_eps(text):
     if num == 0 or den == 0:
         raise ValueError("eps must be a positive rational")
     return Fraction(num, den)
-
-
-def _decimal(n):
-    """str(n) for an int n >= 0 of any size.
-
-    Halves n by a power of ten until each piece is short enough for str()
-    under the interpreter's int-to-str digit limit.
-    """
-    if n.bit_length() <= 4096:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half of n's digits
-    hi, lo = divmod(n, 10 ** k)
-    return _decimal(hi) + _decimal(lo).zfill(k)
-
-
-def _dumps(obj):
-    """json.dumps for the bounds output, with ints through _decimal."""
-    if isinstance(obj, dict):
-        return "{%s}" % ", ".join(json.dumps(k) + ": " + _dumps(v)
-                                  for k, v in obj.items())
-    if isinstance(obj, list):
-        return "[%s]" % ", ".join(map(_dumps, obj))
-    return _decimal(obj) if type(obj) is int else json.dumps(obj)
 
 
 def cmd_make(args):
@@ -169,30 +145,44 @@ def cmd_bounds(args):
         raise ValueError("bounds are only available in closed form for q = 2")
     if not args.m > args.c >= 1:
         raise ValueError("bounds need m > c >= 1")
-    if args.mode == "closed-form":
-        v = r_main2_binary(args.m, args.c, eps)
-        if v.kind == "exact":
-            out = {"kind": "exact", "value": _decimal(v.value)}
+    # str() refuses ints past 4,300 digits by default since Python 3.11
+    # (3.10 has no limit); exact values print in full, so lift it here
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.mode == "closed-form":
+            v = r_main2_binary(args.m, args.c, eps)
+            if v.kind == "exact":
+                out = {"kind": "exact", "value": str(v.value)}
+            else:
+                out = {"kind": "tower-symbolic", "height": v.height,
+                       "arg": str(v.arg)}
         else:
-            out = {"kind": "tower-symbolic", "height": v.height,
-                   "arg": _decimal(v.arg)}
-    else:
-        from .field import field_make
-        rb = r_main2_recursive(args.m, field_make(2), args.c, eps,
-                               binary_base)
-        trace = [{"c": lv.c, "m": lv.m,
-                  "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
-                  "r": lv.r, "t": lv.t, "value": lv.value}
-                 for lv in rb.trace]
-        out = {"kind": "exact", "value": _decimal(rb.value.value),
-               "trace": trace}
-    print(_dumps(out))
+            from .field import field_make
+            rb = r_main2_recursive(args.m, field_make(2), args.c, eps,
+                                   binary_base)
+            trace = [{"c": lv.c, "m": lv.m,
+                      "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
+                      "r": lv.r, "t": lv.t, "value": lv.value}
+                     for lv in rb.trace]
+            out = {"kind": "exact", "value": str(rb.value.value),
+                   "trace": trace}
+        print(json.dumps(out))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
+# usage errors leave through main's one handler: JSON on stderr, exit 2
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="qgeom",
-                                 description="exact finite-geometry toolkit")
+    ap = _Parser(prog="qgeom", description="exact finite-geometry toolkit")
     ap.add_argument("--deterministic", action="store_true",
                     help="force single-worker search (already the default)")
     ap.add_argument("--threads", type=int,
@@ -270,10 +260,7 @@ def main(argv=None):
             raise ValueError("the worker count (--threads or QGEOM_THREADS) "
                              "must be at least 1")
         return args.func(args)
-    except SystemExit:
-        raise
-    except (QgeomError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (QgeomError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

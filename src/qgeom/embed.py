@@ -47,15 +47,13 @@ A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
 from operator import getitem
 
 from .errors import FieldMismatch
-from .geometry import span_coordinates
+from .geometry import geometry_rank, span_coordinates
 from .projective import (
     canonical_vec,
     combine,
@@ -406,11 +404,12 @@ def contains(G, H):
 
     Deterministic: host points are tried in index order, so the witness
     is the first embedding in that order.  FieldMismatch is raised across
-    fields; a guest larger than G is refused before its searcher is built.
+    fields; a guest with more points than G, or of a rank above G's
+    ambient rank, is refused before its searcher is built.
     """
     if G.field != H.field:
         raise FieldMismatch("host and guest live over different fields")
-    if len(H) > len(G):
+    if len(H) > len(G) or geometry_rank(H) > G.ambient:
         return None
     return EmbedSearcher(H).find(G.point_set, G.ambient)
 

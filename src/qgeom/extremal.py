@@ -35,8 +35,6 @@ cap raises ValueError: no comparison with NaN is ever true, so it would
 silently be no cap at all.
 """
 
-from __future__ import annotations
-
 import time
 from collections import namedtuple
 
@@ -145,8 +143,10 @@ def ex_exact(H, n, budget=None):
             chosen.pop()
             host.popitem()
 
+    # find is a plain search on a fresh host map, not the freeness tests'
+    # incremental one, so the re-check stands apart from them
     witness = Geometry(field=f, ambient=n, points=tuple(best))
-    if not is_free(witness, H):
+    if searcher.find(witness.point_set, n) is not None:
         raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,
                           status="lower-bound" if exhausted else "exact",

@@ -21,8 +21,6 @@ and multiplication is the polynomial product reduced mod the modulus.
 Negation and inversion are read off the table rows.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .errors import DivisionByZero, NotPrimePower, Unsupported

@@ -10,8 +10,6 @@ AG(m-1, q) and G(m-1, q, m) is PG(m-1, q) itself.
 All densities and ratios derived from these sets are exact rationals.
 """
 
-from __future__ import annotations
-
 from itertools import combinations, product
 
 from .errors import EmptyGeometry

@@ -16,8 +16,6 @@ reduce_row is the one elimination step over GF(q): rref, the embedding
 search and the flat search of first_flat all reduce vectors through it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import combinations, product
 from operator import getitem

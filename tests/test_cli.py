@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import pickle
 import resource
 import subprocess
 import sys
+from datetime import timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgeom
-from qgeom import FieldSpec, Geometry
-from qgeom.cli import _decimal
+from qgeom import FieldSpec, Geometry, QgeomError, geometry_from_json
+from qgeom.cli import main
 
 
 def run_cli(*args, **kw):
@@ -95,10 +100,35 @@ def test_invalid_input_exits_2(tmp_path):
                  ["make", "pg", "-m", "8", "-q", "16"],
                  ["make", "pg", "-m", "3", "-q", "2305843009213693951"],
                  ["make", "pg", "-m", "-3", "-q", "2"],
-                 ["make", "pg", "-m", "0", "-q", "2"]):
+                 ["make", "pg", "-m", "0", "-q", "2"],
+                 # usage errors, which argparse reports itself
+                 ["make", "pg", "-m", "x", "-q", "2"],
+                 ["bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", "1/2",
+                  "--mode", "bogus"],
+                 ["critical"],
+                 ["critical", str(fano), "--bogus"],
+                 [],
+                 ["--threads", "x", "critical", str(fano)]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
-        assert "error" in json.loads(r.stderr), argv
+        assert set(json.loads(r.stderr)) == {"error", "message"}, argv
+        assert r.stdout == "", argv
+
+
+def test_usage_errors_return_2_in_process(capsys):
+    assert main(["make", "pg", "-m", "x", "-q", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message":
+                               "argument -m: invalid int value: 'x'"}
+    assert main([]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+def test_help_exits_0_with_usage_on_stdout():
+    r = run_cli("-h")
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: qgeom") and r.stderr == ""
 
 
 def _cap_address_space():
@@ -264,14 +294,6 @@ def test_recursive_bounds_refuse_ranks_above_the_digit_cap():
     assert json.loads(r.stderr)["error"] == "Unsupported"
 
 
-def test_decimal_matches_the_value_past_the_int_to_str_digit_limit():
-    for n in (0, 7, 10 ** 5000, 10 ** 5000 - 1, 3 * 10 ** 9000 + 1,
-              2 ** 33333):
-        text = _decimal(n)
-        assert text == "0" or text[0] != "0"
-        assert Decimal(text) == n
-
-
 def test_bounds_print_values_past_the_int_to_str_digit_limit():
     # 2^20002 has 6,022 digits: within the 10,000-digit cap, above the
     # 4,300 digits str() accepts; json.loads needs parse_int to read them
@@ -355,3 +377,145 @@ def test_geometry_and_field_are_immutable_hashable_values():
         with pytest.raises(AttributeError):
             delattr(obj, attr)
     assert pickle.loads(pickle.dumps(g1)) == g1
+
+
+def test_bounds_restore_the_int_to_str_digit_limit(capsys):
+    get = getattr(sys, "get_int_max_str_digits", None)
+    before = get() if get else None
+    argv = ["bounds", "-q", "2", "-m", "20000", "-c", "1", "--eps", "1/2"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert Decimal(out["value"]) == 2 ** 20002
+    # a failing call restores it too
+    assert main(argv + ["--mode", "recursive", "-m", "10", "-c", "3"]) == 2
+    assert (get() if get else None) == before
+
+
+# Files the fuzzed argvs name as "@name"; each example writes them afresh,
+# since a fuzzed -o may overwrite one.
+_FUZZ_FILES = {
+    "fano": '{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 3, '
+            '"points": [[0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], '
+            '[1, 0, 1], [1, 1, 0], [1, 1, 1]]}',
+    "line": '{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 2, '
+            '"points": [[0, 1], [1, 0], [1, 1]]}',
+    "ag13": '{"q": 3, "p": 3, "k": 1, "modulus": [], "ambient": 2, '
+            '"points": [[1, 0], [1, 1], [1, 2]]}',
+    "point": '{"q": 4, "p": 2, "k": 2, "modulus": [1, 1, 1], '
+             '"ambient": 2, "points": [[1, 0]]}',
+    "empty": '{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 2, '
+             '"points": []}',
+    "huge": '{"q": 2, "p": 2, "k": 1, "modulus": [], '
+            '"ambient": 1000000000000, "points": []}',
+    "zero": '{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 2, '
+            '"points": [[0, 0]]}',
+    "list": "[1, 2]",
+    "text": "not json",
+}
+_TEMPLATES = [
+    ["make", "pg", "-m", "2", "-q", "3"],
+    ["make", "g", "-m", "3", "-q", "2", "-c", "1", "-o", "@out"],
+    ["critical", "@fano"],
+    ["contains", "@fano", "@line"],
+    ["extremal", "@line", "-n", "3", "--node-cap", "200", "--time-cap", "1"],
+    ["density", "@ag13", "--n-min", "1", "--n-max", "3", "-o", "@out"],
+    ["sparse-flat", "@fano", "-m", "2", "-c", "1"],
+    ["bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", "1/4"],
+    ["bounds", "-q", "2", "-m", "3", "-c", "2", "--eps", "1/2", "--mode",
+     "recursive"],
+]
+# small valid values, malformed numbers, flags known and unknown, files;
+# no rank above 3 unless it is refused before any search
+_TOKENS = ["0", "1", "2", "3", "-1", "1000000000000", "x", "1.5",
+           "nan", "inf", "", "1/2", "1/0", "3/7", "pg", "ag", "g",
+           "closed-form", "recursive", "-m", "-q", "-c", "-n", "-o",
+           "--eps", "--mode", "--node-cap", "--time-cap", "--n-min",
+           "--n-max", "--threads", "--deterministic", "--bogus", "-z",
+           "make", "critical", "bounds"] + ["@" + n for n in _FUZZ_FILES] + \
+          ["@missing", "@dir"]
+_GLOBALS = [["--deterministic"], ["--threads", "1"], ["--threads", "0"],
+            ["--threads", "x"], ["--threads"]]
+
+
+@st.composite
+def _argvs(draw):
+    argv = [tok for globals_ in draw(st.lists(st.sampled_from(_GLOBALS),
+                                              max_size=2))
+            for tok in globals_]
+    for tok in draw(st.sampled_from(_TEMPLATES)):
+        action = draw(st.sampled_from(["keep"] * 8 + ["drop", "swap"]))
+        if action != "drop":
+            argv.append(tok if action == "keep"
+                        else draw(st.sampled_from(_TOKENS)))
+    for tok in draw(st.lists(st.sampled_from(_TOKENS), max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), tok)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "dir.json").mkdir()
+    return path
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(argv=_argvs())
+def test_fuzzed_argv_exits_0_1_or_2_with_a_json_error(fuzz_dir, argv):
+    for name, text in _FUZZ_FILES.items():
+        (fuzz_dir / (name + ".json")).write_text(text)
+    argv = [str(fuzz_dir / (tok[1:] + ".json")) if tok.startswith("@")
+            else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # a fuzzed -o names a file relative to it
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+    else:
+        assert err.getvalue() == ""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.floats() |
+    st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+_HEADERS = [{"q": 2, "p": 2, "k": 1, "modulus": []},
+            {"q": 3, "p": 3, "k": 1},
+            {"q": 4, "p": 2, "k": 2, "modulus": [1, 1, 1]},
+            {"q": 9, "p": 3, "k": 2, "modulus": [2, 2, 1]}]
+
+
+@st.composite
+def _geometry_objects(draw):
+    """A valid header with small ambient and coordinates, then up to two
+    keys dropped or set to any JSON value."""
+    n = draw(st.integers(-1, 4))
+    width = max(n, 0)
+    point = st.lists(st.integers(0, 2) | st.sampled_from([-1, 3, 9]),
+                     min_size=width, max_size=width)
+    obj = dict(draw(st.sampled_from(_HEADERS)), ambient=n,
+               points=draw(st.lists(point, max_size=4)))
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_JSON)
+    return obj
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(obj=_JSON | _geometry_objects())
+def test_geometry_from_json_returns_a_geometry_or_an_exit_2_error(obj):
+    try:
+        G = geometry_from_json(obj)
+    except (QgeomError, ValueError, KeyError):
+        return
+    assert isinstance(G, Geometry)

@@ -201,14 +201,22 @@ def test_verify_rejects_a_witness_across_fields():
 
 def test_larger_guest_is_refused_before_its_searcher(monkeypatch):
     # PG(3, 9) has 820 points and PG(1, 9) 10: no searcher, and so no
-    # stabilizer chain, is built for a guest that cannot fit
+    # stabilizer chain, is built for a guest that cannot fit.  Nor for one
+    # of rank 4 in PG(2, 9): 90 points of a plane and one point off it,
+    # no more points than the host's 91
     def refuse(H):
         raise AssertionError("searcher built for a guest larger than the host")
 
     monkeypatch.setattr("qgeom.embed.EmbedSearcher", refuse)
-    host, guest = make_pg(2, F9), make_pg(4, F9)
-    assert contains(host, guest) is None
-    assert is_free(host, guest) is True
+    plane = [point_index(point_vec(i, 3, F9) + (0,), 4, F9)
+             for i in range(1, 91)]
+    off = point_index((0, 0, 0, 1), 4, F9)
+    rank_4 = Geometry(field=F9, ambient=4, points=tuple(plane + [off]))
+    for host, guest in ((make_pg(2, F9), make_pg(4, F9)),
+                        (make_pg(3, F9), rank_4)):
+        assert len(guest) > len(host) or geometry_rank(guest) > host.ambient
+        assert contains(host, guest) is None
+        assert is_free(host, guest) is True
 
 
 def test_empty_guest_is_contained_everywhere():
