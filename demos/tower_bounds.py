@@ -8,7 +8,7 @@ plus topmost argument.
 
 from fractions import Fraction
 
-from qgeom import binary_base, field_make, r_main2_binary, r_main2_recursive, tower
+from qgeom import r_main2_binary, r_main2_recursive, tower
 
 print("tower values T_c(s):")
 for c, s in ((1, 4), (2, 3), (2, 5), (3, 4)):
@@ -23,7 +23,7 @@ eps = Fraction(1, 2)
 print("\nclosed-form threshold, m=3 c=2 eps=1/2:",
       r_main2_binary(3, 2, eps).value)
 
-rec = r_main2_recursive(3, field_make(2), 2, eps, binary_base)
+rec = r_main2_recursive(3, 2, eps)
 print("recursive threshold, same inputs:", rec.value.value)
 for lvl in rec.trace:
     print("  level c=%d: m=%d eps=%s r=%s t=%s value=%d"

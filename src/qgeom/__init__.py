@@ -14,20 +14,20 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bounds": "BoundValue RecursiveBound binary_base r_main2_binary "
-              "r_main2_recursive r_mdhj_binary smallest_t tower",
+    "bounds": "BoundValue RecursiveBound r_main2_binary r_main2_recursive "
+              "r_mdhj_binary smallest_t tower",
     "embed": "EmbeddingWitness contains verify_witness",
     "errors": "DivisionByZero EmptyGeometry FieldMismatch InvalidEpsilon "
-              "NotPrimePower PointInFlat QgeomError Unsupported ZeroVector",
+              "NotPrimePower QgeomError Unsupported ZeroVector",
     "extremal": "Budget DensityRow ExtremalResult bose_burton_value "
                 "density_table ex_exact find_sparse_flat is_free",
     "field": "FieldSpec fe_add fe_inv fe_mul fe_sub field_make",
     "geometry": "Geometry complement_geometry critical_exponent g_size "
                 "geometry_from_json geometry_rank geometry_to_json make_ag "
                 "make_g make_pg",
-    "projective": "Flat canonical_vec enumerate_flats extend_flat "
-                  "flat_contains_point flat_intersect flat_points "
-                  "gaussian_binomial pg_size point_index point_vec span",
+    "projective": "Flat canonical_vec flat_contains_point flat_intersect "
+                  "flat_points gaussian_binomial pg_size point_index "
+                  "point_vec span",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -7,6 +7,10 @@ interesting epsilons are exact powers of 2 sitting right on the boundary.
 Tower values switch to a symbolic descriptor once the exact integer would
 exceed the digit cap, DIGIT_CAP decimal digits; the descriptor keeps the
 remaining tower height and the exact top argument.
+
+r_mdhj_binary, r_main2_binary and r_main2_recursive bound a density
+threshold eps and raise InvalidEpsilon unless 0 < eps <= 1.  All three work
+over q = 2, the only field with a closed-form base bound.
 """
 
 from collections import namedtuple
@@ -28,11 +32,6 @@ class BoundValue(namedtuple("BoundValue", "kind value height arg",
     """
 
     __slots__ = ()
-
-    def __int__(self):
-        if self.kind != "exact":
-            raise OverflowError("tower-symbolic value has no exact form here")
-        return self.value
 
 
 def tower(c, s):
@@ -86,21 +85,20 @@ def _ceil_minus_log2(a, eps):
     return a + ceil_log2(Fraction(1, 1) / eps)
 
 
+def _eps(eps):
+    """eps as a Fraction; InvalidEpsilon unless 0 < eps <= 1."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise InvalidEpsilon("eps must lie in (0, 1]")
+    return eps
+
+
 def r_mdhj_binary(m, eps):
     """The binary base bound 2^(m-2) * ceil(1 - log2(eps))."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidEpsilon("eps must be positive")
+    eps = _eps(eps)
     if m < 2:
         raise ValueError("r_mdhj_binary needs m >= 2")
     return 2 ** (m - 2) * _ceil_minus_log2(1, eps)
-
-
-def binary_base(m, q, eps):
-    """r_mdhj_binary in the (m, q, eps) shape the recursion expects."""
-    if q != 2:
-        raise ValueError("the closed-form base bound only exists for q = 2")
-    return r_mdhj_binary(m, eps)
 
 
 def r_main2_binary(m, c, eps):
@@ -108,9 +106,7 @@ def r_main2_binary(m, c, eps):
 
     d = ceil(log2(ceil(2 - log2 eps))), all computed exactly.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidEpsilon("eps must be positive")
+    eps = _eps(eps)
     if not m > c >= 1:
         raise ValueError("r_main2_binary needs m > c >= 1")
     inner = _ceil_minus_log2(2, eps)
@@ -118,20 +114,20 @@ def r_main2_binary(m, c, eps):
     return tower(c, m + d)
 
 
-def smallest_t(f, c, r, eps):
+def smallest_t(q, c, r, eps):
     """Least t >= r such that q^(1-c) (q^r - 1) <= (eps/2)(q^n - q^r) for n > t.
 
     The left side is constant and the right side increases in n, so the
     condition for all n > t reduces to the single check at n = t + 1,
     that is q^(t+1) >= q^r + q^(1-c) (q^r - 1) (2/eps).  That bound is
-    above q^r, so the least such t + 1 is at least r + 1.
+    above q^r, so the least such t + 1 is at least r + 1.  q is the
+    integer field order.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilon("eps must be positive")
     if c < 1 or r < 1:
         raise ValueError("smallest_t needs c >= 1 and r >= 1")
-    q = f.q
     lhs = Fraction(q ** r - 1, q ** (c - 1))
     return _ceil_log(q ** r + lhs * 2 / eps, q) - 1
 
@@ -152,40 +148,37 @@ class RecursiveBound(namedtuple("RecursiveBound", "value trace")):
     __slots__ = ()
 
 
-def r_main2_recursive(m, f, c, eps, base):
-    """Evaluate the recursion max(t, R(r, q, c-1, q^(2-c) - q^(1-c))).
+def r_main2_recursive(m, c, eps):
+    """Evaluate the binary recursion max(t, R(r, c-1, 2^(2-c) - 2^(1-c))).
 
-    base(m, q, eps) supplies the c = 1 value (for q = 2 use r_mdhj_binary;
-    no closed form is available for q > 2, so the caller must inject one).
+    At c = 1 the value is r_mdhj_binary(m, eps); above it r is
+    r_mdhj_binary(m - c + 1, eps/2) and t is smallest_t(2, c, r, eps).
     Returns the value together with the full call trace.
 
     Raises Unsupported when the rank m of a level, the top one or a base
     rank r fed down, has more bits than the digit cap allows:
     the level would build integers of about 2^m.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidEpsilon("recursive epsilon dropped to a nonpositive value")
+    eps = _eps(eps)
     if m < 1 or c < 1:
         raise ValueError("r_main2_recursive needs m >= 1 and c >= 1")
     if m > _BITS_CAP:
         raise Unsupported("rank %d at recursion level c=%d is above the "
                           "%d-bit budget of the digit cap" % (m, c, _BITS_CAP))
-    q = f.q
     if c == 1:
-        v = base(m, q, eps)
+        v = r_mdhj_binary(m, eps)
         level = RecursionLevel(c=1, m=m, eps=eps, r=None, t=None, value=v)
         return RecursiveBound(value=BoundValue(kind="exact", value=v),
                               trace=(level,))
-    r = base(m - c + 1, q, eps / 2)
+    r = r_mdhj_binary(m - c + 1, eps / 2)
     if r <= c - 1:
         raise ValueError(
             "recursion is ill-posed here: base bound r=%d does not exceed "
             "the next level c=%d" % (r, c - 1))
-    next_eps = Fraction(q) ** (2 - c) - Fraction(q) ** (1 - c)
-    # the inner level refuses an r too large before smallest_t builds q^r
-    inner = r_main2_recursive(r, f, c - 1, next_eps, base)
-    t = smallest_t(f, c, r, eps)
+    # 2^(2-c) - 2^(1-c); the inner level refuses an r too large before
+    # smallest_t builds 2^r
+    inner = r_main2_recursive(r, c - 1, Fraction(1, 2 ** (c - 1)))
+    t = smallest_t(2, c, r, eps)
     v = max(t, inner.value.value)
     level = RecursionLevel(c=c, m=m, eps=eps, r=r, t=t, value=v)
     return RecursiveBound(value=BoundValue(kind="exact", value=v),

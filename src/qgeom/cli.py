@@ -8,8 +8,9 @@ or contract failure, argparse usage errors included, reported as a
 machine-readable error object.
 
 bounds --eps takes a positive integer or "num/den", at most
-MAX_EPS_DIGITS digits each; --mode recursive refuses (Unsupported) a
-recursion level whose rank has more bits than the digit cap.
+MAX_EPS_DIGITS digits each; the bounds refuse (InvalidEpsilon) a value
+above 1, and --mode recursive refuses (Unsupported) a recursion level
+whose rank has more bits than the digit cap.
 bounds prints every integer in full, also past the 4,300 digits that
 str() refuses by default since Python 3.11.
 
@@ -139,7 +140,7 @@ def cmd_sparse_flat(args):
 
 
 def cmd_bounds(args):
-    from .bounds import binary_base, r_main2_binary, r_main2_recursive
+    from .bounds import r_main2_binary, r_main2_recursive
     eps = _parse_eps(args.eps)
     if args.q != 2:
         raise ValueError("bounds are only available in closed form for q = 2")
@@ -159,9 +160,7 @@ def cmd_bounds(args):
                 out = {"kind": "tower-symbolic", "height": v.height,
                        "arg": str(v.arg)}
         else:
-            from .field import field_make
-            rb = r_main2_recursive(args.m, field_make(2), args.c, eps,
-                                   binary_base)
+            rb = r_main2_recursive(args.m, args.c, eps)
             trace = [{"c": lv.c, "m": lv.m,
                       "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
                       "r": lv.r, "t": lv.t, "value": lv.value}

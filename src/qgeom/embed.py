@@ -299,8 +299,13 @@ class EmbedSearcher:
         image is the candidate w_i's index.  A candidate that passes every
         check is then reduced against the echelon rows of w_0..w_(i-1): it
         is independent of them exactly when a nonzero remainder is left,
-        and that remainder becomes echelon row i.  Work and memory grow
-        with the host and the ambient rank, never with q^rank.
+        and that remainder becomes echelon row i.  The self-searches of
+        _chain (the _no_rules table) reduce first: their host is the guest,
+        where a candidate in the span of the pinned prefix tends to pass
+        every check, up to |H| lookups per scalar, before the reduction
+        rejects it.  Elsewhere the checks reject most candidates more
+        cheaply than the reduction would.  Work and memory grow with the
+        host and the ambient rank, never with q^rank.
 
         The rule (see the module docstring) cuts twice at each level i: a
         check of a guest point in some O_l fails when its image is at or
@@ -322,6 +327,7 @@ class EmbedSearcher:
         nonzero = range(1, f.q)
         items = host.items()  # the candidate order
         _, starts, rule_checks = rules
+        independent_first = rules is self._no_rules
 
         coords, basis = self.coords, self.basis
         scaled = [None] * m            # lambda_i * w_i
@@ -361,6 +367,11 @@ class EmbedSearcher:
                 steps += 1
                 images[basis[i]] = hi
                 r = None
+                if independent_first:
+                    r = reduce_row(w, echelon[:i], f)
+                    if r is None:
+                        continue  # w is in span(w_0..w_(i-1))
+                    echelon[i] = r
                 for lam in scalars:
                     for j, bound, rows in checks:
                         # a w in the span can give the zero vector; unit[0]

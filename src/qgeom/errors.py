@@ -21,10 +21,6 @@ class ZeroVector(QgeomError):
     """A projective point was requested for the zero vector."""
 
 
-class PointInFlat(QgeomError):
-    """extend_flat was asked to add a point the flat already contains."""
-
-
 class FieldMismatch(QgeomError):
     """Two geometries over different fields were combined."""
 
@@ -34,4 +30,4 @@ class EmptyGeometry(QgeomError):
 
 
 class InvalidEpsilon(QgeomError):
-    """A (possibly recursive) epsilon value is not a positive rational."""
+    """An epsilon is not positive, or above 1 where a bound needs a density."""

@@ -20,7 +20,7 @@ from collections import namedtuple
 from itertools import combinations, product
 from operator import getitem
 
-from .errors import PointInFlat, ZeroVector
+from .errors import ZeroVector
 
 
 class Flat(namedtuple("Flat", "basis n field")):
@@ -212,15 +212,3 @@ def iter_flats(n, f, k):
             for (i, j), val in zip(free, assignment):
                 rows[i][j] = val
             yield Flat(basis=tuple(tuple(r) for r in rows), n=n, field=f)
-
-
-def enumerate_flats(n, f, k):
-    return list(iter_flats(n, f, k))
-
-
-def extend_flat(F, v):
-    """The flat spanned by F and one extra vector; rank grows by exactly 1."""
-    G = span(F.basis + (tuple(v),), F.n, F.field)
-    if G.rank == F.rank:
-        raise PointInFlat("point already lies on the flat")
-    return G

@@ -30,7 +30,6 @@ from qgeom import (
     smallest_t,
     tower,
 )
-from qgeom.bounds import binary_base
 from qgeom.projective import Flat, flat_intersect, iter_canonical_vectors, iter_flats
 
 F2 = field_make(2)
@@ -138,10 +137,10 @@ def test_criterion_6_bounds_module():
     # recursion traces are internally consistent
     for m, c, eps in [(3, 2, Fraction(1, 2)), (4, 2, Fraction(1, 4)),
                       (5, 3, Fraction(1, 2)), (4, 3, Fraction(1, 4))]:
-        rb = r_main2_recursive(m, F2, c, eps, binary_base)
+        rb = r_main2_recursive(m, c, eps)
         for lvl in rb.trace:
             if lvl.c > 1:
-                ok &= lvl.t == smallest_t(F2, lvl.c, lvl.r, lvl.eps)
+                ok &= lvl.t == smallest_t(2, lvl.c, lvl.r, lvl.eps)
                 ok &= lvl.r == r_mdhj_binary(lvl.m - lvl.c + 1, lvl.eps / 2)
     _report(6, "tower, closed forms and recursion traces", ok)
 

@@ -17,7 +17,7 @@ from qgeom import (
     span,
     tower,
 )
-from qgeom.bounds import BoundValue, _ceil_log, binary_base, ceil_log2
+from qgeom.bounds import BoundValue, _ceil_log, ceil_log2
 
 F2 = field_make(2)
 
@@ -95,8 +95,8 @@ def test_r_main2_binary_grid_matches_direct_formula(m, c, eps):
 
 
 def test_smallest_t_examples():
-    assert smallest_t(F2, 2, 4, Fraction(1, 2)) == 5
-    assert smallest_t(F2, 1, 1, Fraction(2)) == 1
+    assert smallest_t(2, 2, 4, Fraction(1, 2)) == 5
+    assert smallest_t(2, 1, 1, Fraction(2)) == 1
 
 
 def test_smallest_t_definition_holds_at_boundary():
@@ -105,7 +105,7 @@ def test_smallest_t_definition_holds_at_boundary():
             [(2, 4, Fraction(1, 2)), (3, 3, Fraction(1, 8)),
              (1, 2, Fraction(1)), (2, 1, Fraction(7, 3)),
              (4, 60, Fraction(1, 10 ** 30))]):
-        t = smallest_t(field_make(q), c, r, eps)
+        t = smallest_t(q, c, r, eps)
         lhs = Fraction(q ** r - 1, q ** (c - 1))
         assert Fraction(eps, 2) * (q ** (t + 1) - q ** r) >= lhs
         if t > r:
@@ -115,21 +115,21 @@ def test_smallest_t_definition_holds_at_boundary():
 
 def test_smallest_t_weakly_decreasing_in_eps():
     eps_values = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
-    ts = [smallest_t(F2, 2, 3, e) for e in eps_values]
+    ts = [smallest_t(2, 2, 3, e) for e in eps_values]
     assert ts == sorted(ts, reverse=True)
 
 
 def test_recursive_base_case_delegates():
-    rb = r_main2_recursive(5, F2, 1, Fraction(1, 2), binary_base)
+    rb = r_main2_recursive(5, 1, Fraction(1, 2))
     assert rb.value.value == r_mdhj_binary(5, Fraction(1, 2))
     assert len(rb.trace) == 1 and rb.trace[0].c == 1
 
 
 def test_recursive_traced_example():
-    rb = r_main2_recursive(3, F2, 2, Fraction(1, 2), binary_base)
+    rb = r_main2_recursive(3, 2, Fraction(1, 2))
     top, base = rb.trace
     assert top.r == r_mdhj_binary(2, Fraction(1, 4)) == 3
-    assert top.t == smallest_t(F2, 2, 3, Fraction(1, 2)) == 4
+    assert top.t == smallest_t(2, 2, 3, Fraction(1, 2)) == 4
     assert base.c == 1 and base.m == 3 and base.eps == Fraction(1, 2)
     assert base.value == 4
     assert rb.value.value == max(top.t, base.value) == 4
@@ -138,9 +138,9 @@ def test_recursive_traced_example():
 def test_recursive_refuses_ranks_above_the_digit_cap():
     # -m 10 -c 3 feeds a rank of about 3 * 2^189 to its c = 1 level
     with pytest.raises(Unsupported):
-        r_main2_recursive(10, F2, 3, Fraction(1, 2), binary_base)
+        r_main2_recursive(10, 3, Fraction(1, 2))
     with pytest.raises(Unsupported):
-        r_main2_recursive(10 ** 6, F2, 1, Fraction(1, 2), binary_base)
+        r_main2_recursive(10 ** 6, 1, Fraction(1, 2))
 
 
 def test_recursive_eps_stays_positive():
@@ -152,11 +152,11 @@ def test_recursive_eps_stays_positive():
 def test_recursive_trace_internally_consistent():
     for m, c, eps in [(3, 2, Fraction(1, 2)), (4, 2, Fraction(1, 4)),
                       (5, 3, Fraction(1, 2)), (4, 3, Fraction(1, 4))]:
-        rb = r_main2_recursive(m, F2, c, eps, binary_base)
+        rb = r_main2_recursive(m, c, eps)
         for lvl in rb.trace:
             if lvl.c > 1:
                 assert lvl.r == r_mdhj_binary(lvl.m - lvl.c + 1, lvl.eps / 2)
-                assert lvl.t == smallest_t(F2, lvl.c, lvl.r, lvl.eps)
+                assert lvl.t == smallest_t(2, lvl.c, lvl.r, lvl.eps)
 
 
 def test_recursive_never_exceeds_closed_form_on_grid():
@@ -164,7 +164,7 @@ def test_recursive_never_exceeds_closed_form_on_grid():
         for eps in [Fraction(1), Fraction(1, 2), Fraction(1, 4)]:
             if (m, c, eps) == (4, 3, Fraction(1)):
                 continue  # recursion bottoms out ill-posed (r <= c-1)
-            rec = r_main2_recursive(m, F2, c, eps, binary_base).value.value
+            rec = r_main2_recursive(m, c, eps).value.value
             closed = r_main2_binary(m, c, eps)
             if closed.kind == "tower-symbolic":
                 # symbolic means the exact value overflows the digit cap,
@@ -178,9 +178,17 @@ def test_invalid_epsilon():
     with pytest.raises(InvalidEpsilon):
         r_mdhj_binary(3, Fraction(0))
     with pytest.raises(InvalidEpsilon):
-        smallest_t(F2, 2, 3, Fraction(-1, 2))
+        smallest_t(2, 2, 3, Fraction(-1, 2))
     with pytest.raises(InvalidEpsilon):
-        r_main2_recursive(3, F2, 2, Fraction(0), binary_base)
+        r_main2_recursive(3, 2, Fraction(0))
+    # eps is a density: the bounds take it in (0, 1] only
+    for eps in (Fraction(2), Fraction(4), Fraction(5)):
+        for call in (lambda: r_mdhj_binary(3, eps),
+                     lambda: r_main2_binary(3, 1, eps),
+                     lambda: r_main2_recursive(3, 1, eps),
+                     lambda: r_main2_recursive(3, 2, eps)):
+            with pytest.raises(InvalidEpsilon):
+                call()
 
 
 # Arguments outside each function's domain; the checks raise ValueError,
@@ -194,12 +202,12 @@ BAD_ARGUMENTS = {
     "r_mdhj_binary m < 2": lambda: r_mdhj_binary(1, Fraction(1, 2)),
     "r_main2_binary c >= m": lambda: r_main2_binary(3, 3, Fraction(1, 2)),
     "r_main2_binary c < 1": lambda: r_main2_binary(3, 0, Fraction(1, 2)),
-    "smallest_t c < 1": lambda: smallest_t(F2, 0, 3, Fraction(1, 2)),
-    "smallest_t r < 1": lambda: smallest_t(F2, 2, 0, Fraction(1, 2)),
+    "smallest_t c < 1": lambda: smallest_t(2, 0, 3, Fraction(1, 2)),
+    "smallest_t r < 1": lambda: smallest_t(2, 2, 0, Fraction(1, 2)),
     "r_main2_recursive m < 1": lambda: r_main2_recursive(
-        0, F2, 1, Fraction(1, 2), binary_base),
+        0, 1, Fraction(1, 2)),
     "r_main2_recursive c < 1": lambda: r_main2_recursive(
-        3, F2, 0, Fraction(1, 2), binary_base),
+        3, 0, Fraction(1, 2)),
     "flat_intersect across ambients": lambda: flat_intersect(
         span([(1, 0)], 2, F2), span([(1, 0, 0)], 3, F2)),
     "flat_intersect across fields": lambda: flat_intersect(

@@ -278,6 +278,17 @@ def test_bounds_rejects_eps_outside_the_integer_or_num_den_form(eps):
     assert json.loads(r.stderr)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("mode", ["closed-form", "recursive"])
+@pytest.mark.parametrize("eps", ["2", "4", "5"])
+def test_bounds_refuse_eps_above_1(eps, mode):
+    # eps is a density: above 1 the closed form would take the log of a
+    # nonpositive number and the recursion would print a negative bound
+    r = run_cli("bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", eps,
+                "--mode", mode)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "InvalidEpsilon"
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_bad_qgeom_threads_exits_2(threads):
     r = run_cli("bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", "1/4",
@@ -332,12 +343,14 @@ def modules_loaded_by(argv):
 
 
 def test_subcommands_import_only_the_modules_they_use(tmp_path):
-    loaded = modules_loaded_by(["bounds", "-q", "2", "-m", "3", "-c", "1",
-                                "--eps", "1/4"])
-    assert "qgeom.bounds" in loaded
-    assert not loaded & {"dataclasses", "inspect", "qgeom.field",
-                         "qgeom.projective", "qgeom.geometry", "qgeom.embed",
-                         "qgeom.extremal"}
+    for argv in (["bounds", "-q", "2", "-m", "3", "-c", "1", "--eps", "1/4"],
+                 ["bounds", "-q", "2", "-m", "3", "-c", "2", "--eps", "1/2",
+                  "--mode", "recursive"]):
+        loaded = modules_loaded_by(argv)
+        assert "qgeom.bounds" in loaded
+        assert not loaded & {"dataclasses", "inspect", "qgeom.field",
+                             "qgeom.projective", "qgeom.geometry",
+                             "qgeom.embed", "qgeom.extremal"}
 
     path = tmp_path / "line.json"
     path.write_text('{"q": 2, "p": 2, "k": 1, "modulus": [], "ambient": 2, '

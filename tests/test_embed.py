@@ -16,7 +16,6 @@ from qgeom import (
     FieldMismatch,
     Geometry,
     contains,
-    enumerate_flats,
     field_make,
     flat_points,
     geometry_rank,
@@ -29,7 +28,8 @@ from qgeom import (
 )
 from qgeom.embed import EmbedSearcher
 from qgeom.geometry import span_coordinates
-from qgeom.projective import canonical_vec, point_index, point_vec, rref
+from qgeom.projective import (canonical_vec, iter_flats, point_index,
+                               point_vec, rref)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -43,7 +43,7 @@ def test_line_in_fano():
     assert w is not None
     assert verify_witness(host, guest, w)
     # independent cross-check: the mapped points really form a Fano line
-    lines = {flat_points(L) for L in enumerate_flats(3, F2, 2)}
+    lines = {flat_points(L) for L in iter_flats(3, F2, 2)}
     assert frozenset(w.point_map) in lines
 
 
@@ -51,7 +51,7 @@ def test_no_line_in_affine_plane():
     host, guest = make_g(3, F2, 1), make_pg(2, F2)
     # oracle: none of the 7 Fano lines has all 3 points inside AG(2,2)
     host_set = host.point_set
-    for L in enumerate_flats(3, F2, 2):
+    for L in iter_flats(3, F2, 2):
         assert not flat_points(L) <= host_set
     assert contains(host, guest) is None
 
@@ -60,7 +60,7 @@ def test_affine_plane_inside_pg32():
     host, guest = make_pg(4, F2), make_g(3, F2, 1)
     # oracle: some plane minus one of its lines lies inside PG(3,2)
     found = False
-    for plane in enumerate_flats(4, F2, 3):
+    for plane in iter_flats(4, F2, 3):
         plane_pts = flat_points(plane)
         if plane_pts <= host.point_set:
             found = True
@@ -748,3 +748,34 @@ def test_orbit_phase_is_bounded_by_input(n, q):
     s = EmbedSearcher(_points(f, vecs))
     assert s.m == n
     assert 0 < s.orbit_steps <= s.size * n * q
+
+
+# Searcher builds of large symmetric guests, timed in a child process.  The
+# self-searches that build the chain reduce each candidate against the
+# pinned prefix before any guest-point check, so a candidate in the span of
+# the prefix costs one reduction, not up to |H| lookups per scalar.
+LARGE_GUEST_BUILDS = """
+import json, time
+from qgeom import contains, field_make, make_ag, make_pg, verify_witness
+from qgeom.embed import EmbedSearcher
+out = {}
+pg54, ag102 = make_pg(6, field_make(4)), make_ag(11, field_make(2))
+for name, H in (("PG(5,4)", pg54), ("AG(10,2)", ag102)):
+    t = time.perf_counter()
+    s = EmbedSearcher(H)
+    out[name] = [time.perf_counter() - t, s.orbit_steps]
+t = time.perf_counter()
+w = contains(pg54, pg54)
+out["contains"] = [time.perf_counter() - t, verify_witness(pg54, pg54, w)]
+print(json.dumps(out))
+"""
+
+
+def test_large_symmetric_guests_build_their_searchers_quickly():
+    r = subprocess.run([sys.executable, "-c", LARGE_GUEST_BUILDS],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["PG(5,4)"][0] < 5 and out["PG(5,4)"][1] == 16496
+    assert out["AG(10,2)"][0] < 2 and out["AG(10,2)"][1] == 22528
+    assert out["contains"][0] < 5 and out["contains"][1] is True

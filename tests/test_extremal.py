@@ -19,7 +19,6 @@ from qgeom import (
     complement_geometry,
     contains,
     density_table,
-    enumerate_flats,
     ex_exact,
     field_make,
     find_sparse_flat,
@@ -35,6 +34,7 @@ from qgeom import (
 )
 from qgeom.embed import EmbedSearcher
 from qgeom.extremal import density_rows_to_csv
+from qgeom.projective import iter_flats
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -427,7 +427,7 @@ def test_find_sparse_flat_examples():
 
     assert find_sparse_flat(make_pg(3, F2), 2, 1) is None
 
-    line_pts = tuple(sorted(flat_points(enumerate_flats(3, F2, 2)[0])))
+    line_pts = tuple(sorted(flat_points(next(iter_flats(3, F2, 2)))))
     line_geom = Geometry(field=F2, ambient=3, points=line_pts)
     F = find_sparse_flat(line_geom, 2, 1)
     assert F is not None

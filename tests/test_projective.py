@@ -5,11 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeom import (
-    PointInFlat,
     ZeroVector,
     canonical_vec,
-    enumerate_flats,
-    extend_flat,
     field_make,
     flat_contains_point,
     flat_intersect,
@@ -90,14 +87,14 @@ def test_span_invariant_under_order_and_rescaling(data):
 
 
 def test_fano_line_pairs_meet_in_one_point():
-    lines = enumerate_flats(3, F2, 2)
+    lines = list(iter_flats(3, F2, 2))
     assert len(lines) == 7
     for L1, L2 in combinations(lines, 2):
         assert flat_intersect(L1, L2).rank == 1
 
 
 def test_intersection_idempotent_and_absorbing():
-    L = enumerate_flats(3, F2, 2)[0]
+    L = next(iter_flats(3, F2, 2))
     assert flat_intersect(L, L) == L
     empty = Flat(basis=(), n=3, field=F2)
     assert flat_intersect(L, empty).rank == 0
@@ -108,7 +105,7 @@ def test_intersection_idempotent_and_absorbing():
 def test_flat_counts_match_gaussian_binomials(q, n):
     f = field_make(q)
     for k in range(n + 1):
-        flats = enumerate_flats(n, f, k)
+        flats = list(iter_flats(n, f, k))
         assert len(flats) == gaussian_binomial(n, k, q)
         assert len(set(flats)) == len(flats)  # echelon form is canonical
 
@@ -122,26 +119,11 @@ def test_gaussian_binomial_cross_check():
 
 def test_flat_points_count_and_membership():
     for k in range(4):
-        for F in enumerate_flats(4, F2, k):
+        for F in iter_flats(4, F2, k):
             pts = flat_points(F)
             assert len(pts) == pg_size(k, F2)
             assert all(flat_contains_point(F, point_vec(i, 4, F2))
                        for i in pts)
-
-
-def test_extend_flat():
-    empty = Flat(basis=(), n=3, field=F2)
-    F1 = extend_flat(empty, (1, 0, 0))
-    assert F1.rank == 1
-    F2_ = extend_flat(F1, (0, 1, 0))
-    assert F2_.rank == 2
-    assert flat_contains_point(F2_, (1, 1, 0))
-    with pytest.raises(PointInFlat):
-        extend_flat(F2_, (1, 1, 0))
-    # a line of the Fano plane plus an off-line point spans everything
-    off = next(v for v in iter_canonical_vectors(3, F2)
-               if not flat_contains_point(F2_, v))
-    assert extend_flat(F2_, off).rank == 3
 
 
 def test_pg_size_values():
@@ -154,14 +136,14 @@ def test_pg_size_values():
 def test_intersection_matches_point_set_oracle(n, q):
     f = field_make(q)
     flats = [(F, flat_points(F)) for k in range(n + 1)
-             for F in enumerate_flats(n, f, k)]
+             for F in iter_flats(n, f, k)]
     for A, a_pts in flats:
         for B, b_pts in flats:
             assert flat_points(flat_intersect(A, B)) == a_pts & b_pts
 
 
 def test_modular_rank_bound_exhaustive_pg32():
-    flats = [F for k in range(5) for F in enumerate_flats(4, F2, k)]
+    flats = [F for k in range(5) for F in iter_flats(4, F2, k)]
     for A in flats:
         for B in flats:
             inter = flat_intersect(A, B)
