@@ -55,7 +55,6 @@ from operator import getitem
 from .errors import FieldMismatch
 from .geometry import geometry_rank, span_coordinates
 from .projective import (
-    canonical_vec,
     combine,
     point_index,
     point_vec,
@@ -115,6 +114,13 @@ class EmbedSearcher:
             coords.append(combine(y, T, f))
         self.coords = coords
 
+        # Every raw image vector met so far, of any length, to its
+        # canonical vector (the zero vector to itself), for the searcher's
+        # lifetime: images repeat across candidates, scalars and searches,
+        # so each distinct one is rescaled once.  One entry per vector
+        # met, so at most q^n per ambient rank n searched.
+        self.memo = {}
+
         # Guest point j becomes checkable once basis images 1..level(j) are
         # fixed; grouping by that level front-loads the pruning.
         levels = [[] for _ in range(self.m + 1)]
@@ -167,8 +173,8 @@ class EmbedSearcher:
             # |line(p, x) & H| where p is point j: automorphisms carry lines
             # to lines, so they keep these counts.  Costs q * ambient.
             p = vecs[j]
-            return 1 + sum(canonical_vec(combine((1, c), (x, p), f), f)
-                           in own for c in range(f.q))
+            return 1 + sum(self._canonical(combine((1, c), (x, p), f)) in own
+                           for c in range(f.q))
 
         try:
             for level, b in enumerate(basis):
@@ -206,6 +212,16 @@ class EmbedSearcher:
         except _OutOfSteps:
             used = cap
         return tuple(orbits), perms, used
+
+    def _canonical(self, v):
+        """v scaled to its leading 1 (zero stays zero), computed on a memo
+        miss and kept in the memo."""
+        c = self.memo.get(v)
+        if c is None:
+            lead = next(filter(None, v), 0)
+            c = self.memo[v] = tuple(map(self.f.unit[lead].__getitem__, v)) \
+                if lead > 1 else v
+        return c
 
     def _rule_table(self, orbits):
         """The rule for the given per-level orbits, in the form _search reads.
@@ -294,18 +310,20 @@ class EmbedSearcher:
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
         of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
         (w_i, lambda_i) pair costs one table lookup per coordinate.  The
-        image, scaled to its leading 1, is looked up in the host map.
-        Level i checks every guest point it determines except b_i, whose
-        image is the candidate w_i's index.  A candidate that passes every
-        check is then reduced against the echelon rows of w_0..w_(i-1): it
-        is independent of them exactly when a nonzero remainder is left,
-        and that remainder becomes echelon row i.  The self-searches of
-        _chain (the _no_rules table) reduce first: their host is the guest,
-        where a candidate in the span of the pinned prefix tends to pass
-        every check, up to |H| lookups per scalar, before the reduction
-        rejects it.  Elsewhere the checks reject most candidates more
-        cheaply than the reduction would.  Work and memory grow with the
-        host and the ambient rank, never with q^rank.
+        image's canonical vector, read from the searcher's memo (see
+        __init__) and computed only on a miss, is looked up in the host
+        map.  Level i checks every guest point it determines except b_i,
+        whose image is the candidate w_i's index.  A candidate that passes
+        every check is then reduced against the echelon rows of
+        w_0..w_(i-1): it is independent of them exactly when a nonzero
+        remainder is left, and that remainder becomes echelon row i.  The
+        self-searches of _chain (the _no_rules table) reduce first: their
+        host is the guest, where a candidate in the span of the pinned
+        prefix tends to pass every check, up to |H| lookups per scalar,
+        before the reduction rejects it.  Elsewhere the checks reject most
+        candidates more cheaply than the reduction would.  Work grows with
+        the host and the ambient rank, never with q^rank, and the memo by
+        at most one entry per check.
 
         The rule (see the module docstring) cuts twice at each level i: a
         check of a guest point in some O_l fails when its image is at or
@@ -323,7 +341,8 @@ class EmbedSearcher:
         """
         f = self.f
         m = self.m
-        mul, shift, unit = f.mul_table, f.shift, f.unit
+        mul, shift = f.mul_table, f.shift
+        memo, canonical = self.memo, self._canonical
         nonzero = range(1, f.q)
         items = host.items()  # the candidate order
         _, starts, rule_checks = rules
@@ -374,13 +393,10 @@ class EmbedSearcher:
                     echelon[i] = r
                 for lam in scalars:
                     for j, bound, rows in checks:
-                        # a w in the span can give the zero vector; unit[0]
-                        # keeps it zero and no host point matches it
+                        # a w in the span can give the zero vector; the
+                        # memo keeps it zero and no host point matches it
                         img = tuple(map(getitem, rows[lam], w))
-                        lead = next(filter(None, img), 0)
-                        if lead != 1:
-                            img = tuple(map(unit[lead].__getitem__, img))
-                        idx = host.get(img, -1)
+                        idx = host.get(memo.get(img) or canonical(img), -1)
                         if idx <= images[bound]:
                             break
                         images[j] = idx
@@ -432,8 +448,9 @@ def verify_witness(G, H, w):
     rank, every guest point maps (in span coordinates) to exactly the
     claimed host point, and every claimed host point belongs to G.  Any
     other entry gives False: a negative one would otherwise index the
-    field tables from the end.  G and H over different fields give False
-    too, where contains raises FieldMismatch.
+    field tables from the end.  A bool is not an int here, in the map or
+    the point map, as JSON input refuses it.  G and H over different
+    fields give False too, where contains raises FieldMismatch.
     """
     if G.field != H.field:
         return False
@@ -446,8 +463,9 @@ def verify_witness(G, H, w):
     n = G.ambient
     if any(len(row) != n for row in w.map):
         return False
-    if not all(isinstance(x, int) and 0 <= x < f.q
-               for row in w.map for x in row):
+    if not all(type(x) is int and 0 <= x < f.q
+               for row in w.map for x in row) or \
+            not all(type(x) is int for x in w.point_map):
         return False
     reduced, _ = rref(w.map, n, f)
     if len(reduced) != m:

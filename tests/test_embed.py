@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeom import (
+    Budget,
     EmbeddingWitness,
     FieldMismatch,
     Geometry,
     contains,
+    ex_exact,
     field_make,
     flat_points,
     geometry_rank,
@@ -103,11 +105,11 @@ def test_verify_rejects_point_outside_host():
     assert not verify_witness(host, guest, w)
 
 
-def _with_entry(w, value):
-    # w with its first map entry 2 replaced by value
+def _with_entry(w, value, old=2):
+    # w with its first map entry old replaced by value
     rows = [list(r) for r in w.map]
     i, j = next((i, j) for i, r in enumerate(rows) for j, x in enumerate(r)
-                if x == 2)
+                if x == old)
     rows[i][j] = value
     return EmbeddingWitness(map=tuple(map(tuple, rows)),
                             point_map=w.point_map)
@@ -121,6 +123,19 @@ def test_verify_rejects_entries_outside_the_field(entry):
     w = contains(host, guest)
     assert verify_witness(host, guest, w)
     assert verify_witness(host, guest, _with_entry(w, entry)) is False
+
+
+def test_verify_rejects_true_for_1():
+    # bool is a subclass of int, so True passed for 1, in the map and in
+    # the point map
+    host, guest = make_pg(4, F3), make_ag(3, F3)
+    w = contains(host, guest)
+    assert verify_witness(host, guest, _with_entry(w, 1, old=1))
+    assert verify_witness(host, guest, _with_entry(w, True, old=1)) is False
+    point_map = list(w.point_map)
+    point_map[point_map.index(1)] = True
+    bad = EmbeddingWitness(map=w.map, point_map=tuple(point_map))
+    assert verify_witness(host, guest, bad) is False
 
 
 @settings(max_examples=200, deadline=None)
@@ -679,6 +694,41 @@ def test_witness_is_pinned(host, guest, matrix, point_map):
     w = contains(host, guest)
     assert w == EmbeddingWitness(map=matrix, point_map=point_map)
     assert verify_witness(host, guest, w)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_memo_holds_each_canonical_vector_met_once(q, monkeypatch):
+    # a negative, a positive with a host of higher rank, and an ex_exact
+    # run whose freeness tests all share one searcher
+    made = []  # every searcher built, in order
+    init = EmbedSearcher.__init__
+
+    def record(self, H):
+        init(self, H)
+        made.append(self)
+
+    monkeypatch.setattr(EmbedSearcher, "__init__", record)
+    f = field_make(q)
+    runs = [(make_ag(3, f), make_pg(2, f)), (make_pg(3, f), make_ag(2, f))]
+    for host, guest in runs:
+        contains(host, guest)
+    res = ex_exact(make_pg(2, f), 3, Budget(node_cap=100))
+    runs.append((res.witness, make_pg(2, f)))
+    assert len(made) == len(runs)
+    zeros = 0
+    for s, (host, guest) in zip(made, runs):
+        for v, c in s.memo.items():
+            if any(v):
+                assert c == canonical_vec(v, f)
+            else:
+                assert c == v
+                zeros += 1
+        ranks = {host.ambient, guest.ambient}
+        assert 0 < len(s.memo) <= sum(q ** n for n in ranks)
+        size = len(s.memo)
+        s.find(host.point_set, host.ambient)
+        assert len(s.memo) == size
+    assert zeros
 
 
 # PG(4, 2) inside the complement, in PG(5, 2), of six points that span it.
