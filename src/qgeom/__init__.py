@@ -21,7 +21,7 @@ _EXPORTS = {
               "NotPrimePower QgeomError Unsupported ZeroVector",
     "extremal": "Budget DensityRow ExtremalResult bose_burton_value "
                 "density_table ex_exact find_sparse_flat is_free",
-    "field": "FieldSpec fe_add fe_inv fe_mul fe_sub field_make",
+    "field": "FieldSpec field_make",
     "geometry": "Geometry complement_geometry critical_exponent g_size "
                 "geometry_from_json geometry_rank geometry_to_json make_ag "
                 "make_g make_pg",

@@ -14,17 +14,12 @@ whose rank has more bits than the digit cap.
 bounds prints every integer in full, also past the 4,300 digits that
 str() refuses by default since Python 3.11.
 
-Searches in this implementation are single-threaded and deterministic;
---threads (default from QGEOM_THREADS, which must then be a positive
-integer) and --deterministic are accepted for interface stability.
-
 Each subcommand imports the modules it uses when it runs, so a process
 pays start-up only for those.
 """
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -54,10 +49,21 @@ def _parse_eps(text):
     return Fraction(num, den)
 
 
+def _write_out(args, text):
+    """Write text to the -o/--out file, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_make(args):
     from .field import field_make
     from .geometry import geometry_to_json, make_ag, make_g, make_pg
     f = field_make(args.q)
+    if args.family != "g" and args.c is not None:
+        raise ValueError("family %s takes no -c" % args.family)
     if args.family == "pg":
         H = make_pg(args.m, f)
     elif args.family == "ag":
@@ -66,12 +72,7 @@ def cmd_make(args):
         if args.c is None:
             raise ValueError("family g needs -c")
         H = make_g(args.m, f, args.c)
-    payload = json.dumps(geometry_to_json(H), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_out(args, json.dumps(geometry_to_json(H), indent=2) + "\n")
     return 0
 
 
@@ -119,12 +120,7 @@ def cmd_density(args):
     H = _load_geometry(args.forbid)
     rows = density_table(H, range(args.n_min, args.n_max + 1),
                          budget=_budget_from_args(args))
-    csv = density_rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write_out(args, density_rows_to_csv(rows))
     return 0
 
 
@@ -182,19 +178,19 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     ap = _Parser(prog="qgeom", description="exact finite-geometry toolkit")
-    ap.add_argument("--deterministic", action="store_true",
-                    help="force single-worker search (already the default)")
-    ap.add_argument("--threads", type=int,
-                    help="worker count (default QGEOM_THREADS, else 1); "
-                         "this build always runs one worker")
     sub = ap.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("-o", "--out")
+    budget = _Parser(add_help=False)
+    budget.add_argument("--node-cap", type=int, default=10 ** 8)
+    budget.add_argument("--time-cap", type=float, default=None)
 
-    p = sub.add_parser("make", help="write a PG/AG/G geometry file")
+    p = sub.add_parser("make", parents=[out],
+                       help="write a PG/AG/G geometry file")
     p.add_argument("family", choices=["pg", "ag", "g"])
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-c", type=int)
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_make)
 
     p = sub.add_parser("critical", help="critical exponent of a geometry file")
@@ -206,20 +202,17 @@ def build_parser():
     p.add_argument("guest")
     p.set_defaults(func=cmd_contains)
 
-    p = sub.add_parser("extremal", help="exact ex_q(H; n) by branch-and-bound")
+    p = sub.add_parser("extremal", parents=[budget],
+                       help="exact ex_q(H; n) by branch-and-bound")
     p.add_argument("forbid")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--node-cap", type=int, default=10 ** 8)
-    p.add_argument("--time-cap", type=float, default=None)
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("density", help="density table CSV over a rank range")
+    p = sub.add_parser("density", parents=[budget, out],
+                       help="density table CSV over a rank range")
     p.add_argument("forbid")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--node-cap", type=int, default=10 ** 8)
-    p.add_argument("--time-cap", type=float, default=None)
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sparse-flat",
@@ -240,24 +233,10 @@ def build_parser():
     return ap
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    text = os.environ.get("QGEOM_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("QGEOM_THREADS must be a positive integer, not %r"
-                         % text) from None
-
-
 def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if _threads(args) < 1:
-            raise ValueError("the worker count (--threads or QGEOM_THREADS) "
-                             "must be at least 1")
         return args.func(args)
     except (QgeomError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

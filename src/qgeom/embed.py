@@ -444,7 +444,8 @@ def contains(G, H):
 def verify_witness(G, H, w):
     """Check a witness without re-running the search.
 
-    True iff every map entry is an int in range(q), the map has full
+    True iff the map, each of its rows and the point map are lists or
+    tuples, every map entry is an int in range(q), the map has full
     rank, every guest point maps (in span coordinates) to exactly the
     claimed host point, and every claimed host point belongs to G.  Any
     other entry gives False: a negative one would otherwise index the
@@ -456,12 +457,14 @@ def verify_witness(G, H, w):
         return False
     f = H.field
     m, _, coords = span_coordinates(H)
-    if len(w.map) != m or len(w.point_map) != len(coords):
+    seq = (list, tuple)
+    if not (isinstance(w.map, seq) and isinstance(w.point_map, seq)) or \
+            len(w.map) != m or len(w.point_map) != len(coords):
         return False
     if m == 0:
         return True
     n = G.ambient
-    if any(len(row) != n for row in w.map):
+    if any(not isinstance(row, seq) or len(row) != n for row in w.map):
         return False
     if not all(type(x) is int and 0 <= x < f.q
                for row in w.map for x in row) or \

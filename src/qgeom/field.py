@@ -27,10 +27,6 @@ from .errors import DivisionByZero, NotPrimePower, Unsupported
 
 MAX_Q = 16
 
-# FieldElement is a plain integer code in [0, q); a separate wrapper class
-# would only slow down the inner loops of the search modules.
-FieldElement = int
-
 # Moduli as ascending coefficient tuples (constant term first, leading 1 last).
 _MODULI = {
     4: (1, 1, 1),
@@ -175,18 +171,3 @@ def field_make(q: int) -> FieldSpec:
         raise NotPrimePower("q = %d is not a prime power" % q)
     return FieldSpec(p=p, k=k, q=q, modulus=modulus)
 
-
-def fe_add(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    return f.add(a, b)
-
-
-def fe_sub(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    return f.sub(a, b)
-
-
-def fe_mul(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    return f.mul(a, b)
-
-
-def fe_inv(f: FieldSpec, a: FieldElement) -> FieldElement:
-    return f.inv(a)

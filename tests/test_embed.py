@@ -92,6 +92,10 @@ def test_verify_rejects_rank_deficient_map():
     w = contains(host, guest)
     bad = EmbeddingWitness(map=(w.map[0], w.map[0]), point_map=w.point_map)
     assert not verify_witness(host, guest, bad)
+    # a row or a point map that is no sequence raised TypeError
+    for bad in (EmbeddingWitness(map=(1, 2), point_map=w.point_map),
+                EmbeddingWitness(map=w.map, point_map=None)):
+        assert verify_witness(host, guest, bad) is False
 
 
 def test_verify_rejects_point_outside_host():
