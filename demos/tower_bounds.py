@@ -23,8 +23,8 @@ eps = Fraction(1, 2)
 print("\nclosed-form threshold, m=3 c=2 eps=1/2:",
       r_main2_binary(3, 2, eps).value)
 
-rec = r_main2_recursive(3, 2, eps)
-print("recursive threshold, same inputs:", rec.value.value)
-for lvl in rec.trace:
+trace = r_main2_recursive(3, 2, eps)
+print("recursive threshold, same inputs:", trace[0].value)
+for lvl in trace:
     print("  level c=%d: m=%d eps=%s r=%s t=%s value=%d"
           % (lvl.c, lvl.m, lvl.eps, lvl.r, lvl.t, lvl.value))

@@ -14,8 +14,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bounds": "BoundValue RecursiveBound r_main2_binary r_main2_recursive "
-              "r_mdhj_binary smallest_t tower",
+    "bounds": "BoundValue r_main2_binary r_main2_recursive r_mdhj_binary "
+              "smallest_t tower",
     "embed": "EmbeddingWitness contains verify_witness",
     "errors": "DivisionByZero EmptyGeometry FieldMismatch InvalidEpsilon "
               "NotPrimePower QgeomError Unsupported ZeroVector",

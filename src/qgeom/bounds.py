@@ -10,7 +10,8 @@ remaining tower height and the exact top argument.
 
 r_mdhj_binary, r_main2_binary and r_main2_recursive bound a density
 threshold eps and raise InvalidEpsilon unless 0 < eps <= 1.  All three work
-over q = 2, the only field with a closed-form base bound.
+over q = 2, the only field with a closed-form base bound.  The last two
+need m > c >= 1 and raise ValueError outside it, checked before eps.
 """
 
 from collections import namedtuple
@@ -106,9 +107,9 @@ def r_main2_binary(m, c, eps):
 
     d = ceil(log2(ceil(2 - log2 eps))), all computed exactly.
     """
-    eps = _eps(eps)
     if not m > c >= 1:
         raise ValueError("r_main2_binary needs m > c >= 1")
+    eps = _eps(eps)
     inner = _ceil_minus_log2(2, eps)
     d = ceil_log2(inner)
     return tower(c, m + d)
@@ -142,44 +143,34 @@ class RecursionLevel(namedtuple("RecursionLevel", "c m eps r t value")):
     __slots__ = ()
 
 
-class RecursiveBound(namedtuple("RecursiveBound", "value trace")):
-    """A BoundValue and its RecursionLevel entries, outermost level first."""
-
-    __slots__ = ()
-
-
 def r_main2_recursive(m, c, eps):
     """Evaluate the binary recursion max(t, R(r, c-1, 2^(2-c) - 2^(1-c))).
 
     At c = 1 the value is r_mdhj_binary(m, eps); above it r is
     r_mdhj_binary(m - c + 1, eps/2) and t is smallest_t(2, c, r, eps).
-    Returns the value together with the full call trace.
+    Returns the trace, one RecursionLevel per level, the top level first;
+    the bound is trace[0].value.
 
-    Raises Unsupported when the rank m of a level, the top one or a base
-    rank r fed down, has more bits than the digit cap allows:
-    the level would build integers of about 2^m.
+    Every level needs m > c >= 1, so a ValueError also comes from a level
+    below whose base rank r is not above c - 1.  Raises Unsupported when
+    the rank m of a level, the top one or a base rank r fed down, has more
+    bits than the digit cap allows: the level would build integers of
+    about 2^m.
     """
+    if not m > c >= 1:
+        raise ValueError("r_main2_recursive needs m > c >= 1 at every "
+                         "level, not m=%d, c=%d" % (m, c))
     eps = _eps(eps)
-    if m < 1 or c < 1:
-        raise ValueError("r_main2_recursive needs m >= 1 and c >= 1")
     if m > _BITS_CAP:
         raise Unsupported("rank %d at recursion level c=%d is above the "
                           "%d-bit budget of the digit cap" % (m, c, _BITS_CAP))
     if c == 1:
         v = r_mdhj_binary(m, eps)
-        level = RecursionLevel(c=1, m=m, eps=eps, r=None, t=None, value=v)
-        return RecursiveBound(value=BoundValue(kind="exact", value=v),
-                              trace=(level,))
+        return (RecursionLevel(c=1, m=m, eps=eps, r=None, t=None, value=v),)
     r = r_mdhj_binary(m - c + 1, eps / 2)
-    if r <= c - 1:
-        raise ValueError(
-            "recursion is ill-posed here: base bound r=%d does not exceed "
-            "the next level c=%d" % (r, c - 1))
     # 2^(2-c) - 2^(1-c); the inner level refuses an r too large before
     # smallest_t builds 2^r
     inner = r_main2_recursive(r, c - 1, Fraction(1, 2 ** (c - 1)))
     t = smallest_t(2, c, r, eps)
-    v = max(t, inner.value.value)
-    level = RecursionLevel(c=c, m=m, eps=eps, r=r, t=t, value=v)
-    return RecursiveBound(value=BoundValue(kind="exact", value=v),
-                          trace=(level,) + inner.trace)
+    v = max(t, inner[0].value)
+    return (RecursionLevel(c=c, m=m, eps=eps, r=r, t=t, value=v),) + inner

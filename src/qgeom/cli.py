@@ -32,8 +32,12 @@ MAX_EPS_DIGITS = 1000
 
 def _load_geometry(path):
     from .geometry import geometry_from_json
-    with open(path) as fh:
-        return geometry_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return geometry_from_json(json.load(fh))
+    except RecursionError:  # nested past the JSON parser's depth limit
+        raise ValueError("%s is nested too deeply to be a geometry"
+                         % path) from None
 
 
 def _parse_eps(text):
@@ -140,8 +144,6 @@ def cmd_bounds(args):
     eps = _parse_eps(args.eps)
     if args.q != 2:
         raise ValueError("bounds are only available in closed form for q = 2")
-    if not args.m > args.c >= 1:
-        raise ValueError("bounds need m > c >= 1")
     # str() refuses ints past 4,300 digits by default since Python 3.11
     # (3.10 has no limit); exact values print in full, so lift it here
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -156,12 +158,12 @@ def cmd_bounds(args):
                 out = {"kind": "tower-symbolic", "height": v.height,
                        "arg": str(v.arg)}
         else:
-            rb = r_main2_recursive(args.m, args.c, eps)
+            levels = r_main2_recursive(args.m, args.c, eps)
             trace = [{"c": lv.c, "m": lv.m,
                       "eps": "%d/%d" % (lv.eps.numerator, lv.eps.denominator),
                       "r": lv.r, "t": lv.t, "value": lv.value}
-                     for lv in rb.trace]
-            out = {"kind": "exact", "value": str(rb.value.value),
+                     for lv in levels]
+            out = {"kind": "exact", "value": str(levels[0].value),
                    "trace": trace}
         print(json.dumps(out))
     finally:
@@ -234,8 +236,13 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     try:
+        # -h is the only option before the subcommand; argparse would
+        # report an unknown one's value as an invalid subcommand instead
+        if argv and argv[0][:1] == "-" and argv[0] not in ("-h", "--help"):
+            raise ValueError("unrecognized arguments: %s" % argv[0])
         args = ap.parse_args(argv)
         return args.func(args)
     except (QgeomError, ValueError, KeyError, OSError) as exc:

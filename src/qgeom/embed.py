@@ -57,7 +57,6 @@ from .geometry import geometry_rank, span_coordinates
 from .projective import (
     combine,
     point_index,
-    point_vec,
     reduce_row,
     rref,
 )
@@ -249,25 +248,25 @@ class EmbedSearcher:
                              if j != basis[i]) for i in range(self.m))
         return orbits, starts, checks
 
-    def find(self, host_indices, host_ambient):
-        """Search for an embedding into the given host point set.
+    def find(self, G):
+        """Search for an embedding into the host Geometry G.
 
-        host_indices: set of point indices into PG(host_ambient - 1, q).
         Returns the first EmbeddingWitness in candidate order, or None.
 
-        This is the index-set front of _search: it builds the host map,
+        This is the Geometry front of _search: it builds the host map,
         from the canonical vector of each host point to its index in index
         order (one point_vec per host point), once per call, and turns the
-        raw hit _search returns into a witness.  ex_exact keeps its own map
-        across many searches and calls find_through instead.
+        raw hit _search returns into a witness.  It refuses no host up
+        front: a host with fewer points than the guest, or of an ambient
+        rank below the guest's rank, gets None from the search itself,
+        and contains refuses both before it builds a searcher.  ex_exact
+        keeps its own map across many searches and calls find_through
+        instead.
         """
         if self.m == 0:
             return EmbeddingWitness(map=(), point_map=())
-        if self.size > len(host_indices) or self.m > host_ambient:
-            return None
-        order = sorted(host_indices)
-        host = {point_vec(hi, host_ambient, self.f): hi for hi in order}
-        hit, _ = self._search(host, order, host_ambient, self._rules)
+        host = dict(zip(G.point_vecs(), G.points))
+        hit, _ = self._search(host, G.points, G.ambient, self._rules)
         return None if hit is None else self._witness(*hit)
 
     def find_through(self, host, order, host_ambient, new):
@@ -438,7 +437,7 @@ def contains(G, H):
         raise FieldMismatch("host and guest live over different fields")
     if len(H) > len(G) or geometry_rank(H) > G.ambient:
         return None
-    return EmbedSearcher(H).find(G.point_set, G.ambient)
+    return EmbedSearcher(H).find(G)
 
 
 def verify_witness(G, H, w):

@@ -89,15 +89,13 @@ def ex_exact(H, n, budget=None):
     Exact unless the budget runs out, in which case the best set found so
     far is reported with status "lower-bound".  The empty geometry is
     contained in every set, so no H-free set exists for it.  A space of
-    more than MAX_LISTED_POINTS points, or a budget with a negative or
-    NaN cap, raises ValueError.
+    more than MAX_LISTED_POINTS points, a rank n below 1, or a budget
+    with a negative or NaN cap, raises ValueError.
     """
-    if n < 1:
-        raise ValueError("ex_exact needs n >= 1")
+    f = H.field
+    total = _listable_size(n, f)  # refuses n < 1 too
     if not H.points:
         raise EmptyGeometry("ex_exact of the empty geometry")
-    f = H.field
-    total = _listable_size(n, f)
     budget = _checked(budget)
     searcher = EmbedSearcher(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
@@ -146,7 +144,7 @@ def ex_exact(H, n, budget=None):
     # find is a plain search on a fresh host map, not the freeness tests'
     # incremental one, so the re-check stands apart from them
     witness = Geometry(field=f, ambient=n, points=tuple(best))
-    if searcher.find(witness.point_set, n) is not None:
+    if searcher.find(witness) is not None:
         raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,
                           status="lower-bound" if exhausted else "exact",

@@ -14,8 +14,8 @@ from itertools import combinations, product
 
 from .errors import EmptyGeometry
 from .field import _Value, field_make
-from .projective import (Flat, flat_points, pg_size, point_index, point_vec,
-                         reduce_row, rref, span)
+from .projective import (Flat, pg_size, point_index, point_vec, reduce_row,
+                         rref, span)
 
 
 class Geometry(_Value):
@@ -77,24 +77,23 @@ def _listable_size(m, f):
     return pg_size(m, f)
 
 
-def _points_outside(m, f, inside):
-    """Indices of PG(m-1, q) not in the set inside, in increasing order."""
-    return tuple(i for i in range(_listable_size(m, f)) if i not in inside)
-
-
 def make_pg(m, f):
     """PG(m-1, q): every point of the rank-m space."""
-    return Geometry(field=f, ambient=m, points=_points_outside(m, f, ()))
+    return Geometry(field=f, ambient=m,
+                    points=tuple(range(_listable_size(m, f))))
 
 
 def make_g(m, f, c):
     """G(m-1, q, c): PG(m-1, q) minus the canonical rank-(m-c) flat."""
     if not 0 <= c <= m:
         raise ValueError("family g needs 0 <= c <= m")
-    _listable_size(m, f)  # the removed flat can be nearly as large
-    basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(m - c))
-    removed = flat_points(Flat(basis=basis, n=m, field=f))
-    return Geometry(field=f, ambient=m, points=_points_outside(m, f, removed))
+    # The flat's points have their last c coordinates zero and their
+    # leading 1 before them: the indices head + k * q^c, k >= 0, with head
+    # = pg_size(c), since pg_size(j) = head mod q^c for every j >= c.
+    total = _listable_size(m, f)
+    head, period = pg_size(c, f), f.q ** c
+    keep = tuple(i for i in range(total) if i < head or (i - head) % period)
+    return Geometry(field=f, ambient=m, points=keep)
 
 
 def make_ag(m, f):
@@ -209,7 +208,9 @@ def critical_exponent(H):
 
 def complement_geometry(H):
     """All points of the ambient PG not in H."""
-    keep = _points_outside(H.ambient, H.field, H.point_set)
+    inside = H.point_set
+    keep = tuple(i for i in range(_listable_size(H.ambient, H.field))
+                 if i not in inside)
     return Geometry(field=H.field, ambient=H.ambient, points=keep)
 
 

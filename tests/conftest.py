@@ -36,7 +36,7 @@ def brute_force_ex(H, n):
     searcher = EmbedSearcher(H)
     copies = []
     for T in combinations(range(total), h):
-        if searcher.find(frozenset(T), n) is not None:
+        if searcher.find(Geometry(field=f, ambient=n, points=T)) is not None:
             copies.append(sum(1 << i for i in T))
     best = 0
     for mask in range(1 << total):

@@ -137,8 +137,7 @@ def test_criterion_6_bounds_module():
     # recursion traces are internally consistent
     for m, c, eps in [(3, 2, Fraction(1, 2)), (4, 2, Fraction(1, 4)),
                       (5, 3, Fraction(1, 2)), (4, 3, Fraction(1, 4))]:
-        rb = r_main2_recursive(m, c, eps)
-        for lvl in rb.trace:
+        for lvl in r_main2_recursive(m, c, eps):
             if lvl.c > 1:
                 ok &= lvl.t == smallest_t(2, lvl.c, lvl.r, lvl.eps)
                 ok &= lvl.r == r_mdhj_binary(lvl.m - lvl.c + 1, lvl.eps / 2)

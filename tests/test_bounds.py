@@ -120,19 +120,18 @@ def test_smallest_t_weakly_decreasing_in_eps():
 
 
 def test_recursive_base_case_delegates():
-    rb = r_main2_recursive(5, 1, Fraction(1, 2))
-    assert rb.value.value == r_mdhj_binary(5, Fraction(1, 2))
-    assert len(rb.trace) == 1 and rb.trace[0].c == 1
+    trace = r_main2_recursive(5, 1, Fraction(1, 2))
+    assert trace[0].value == r_mdhj_binary(5, Fraction(1, 2))
+    assert len(trace) == 1 and trace[0].c == 1
 
 
 def test_recursive_traced_example():
-    rb = r_main2_recursive(3, 2, Fraction(1, 2))
-    top, base = rb.trace
+    top, base = r_main2_recursive(3, 2, Fraction(1, 2))
     assert top.r == r_mdhj_binary(2, Fraction(1, 4)) == 3
     assert top.t == smallest_t(2, 2, 3, Fraction(1, 2)) == 4
     assert base.c == 1 and base.m == 3 and base.eps == Fraction(1, 2)
     assert base.value == 4
-    assert rb.value.value == max(top.t, base.value) == 4
+    assert top.value == max(top.t, base.value) == 4
 
 
 def test_recursive_refuses_ranks_above_the_digit_cap():
@@ -152,8 +151,7 @@ def test_recursive_eps_stays_positive():
 def test_recursive_trace_internally_consistent():
     for m, c, eps in [(3, 2, Fraction(1, 2)), (4, 2, Fraction(1, 4)),
                       (5, 3, Fraction(1, 2)), (4, 3, Fraction(1, 4))]:
-        rb = r_main2_recursive(m, c, eps)
-        for lvl in rb.trace:
+        for lvl in r_main2_recursive(m, c, eps):
             if lvl.c > 1:
                 assert lvl.r == r_mdhj_binary(lvl.m - lvl.c + 1, lvl.eps / 2)
                 assert lvl.t == smallest_t(2, lvl.c, lvl.r, lvl.eps)
@@ -163,8 +161,8 @@ def test_recursive_never_exceeds_closed_form_on_grid():
     for m, c in [(3, 2), (4, 2), (4, 3), (5, 2)]:
         for eps in [Fraction(1), Fraction(1, 2), Fraction(1, 4)]:
             if (m, c, eps) == (4, 3, Fraction(1)):
-                continue  # recursion bottoms out ill-posed (r <= c-1)
-            rec = r_main2_recursive(m, c, eps).value.value
+                continue  # the next level's rank r is not above c - 1
+            rec = r_main2_recursive(m, c, eps)[0].value
             closed = r_main2_binary(m, c, eps)
             if closed.kind == "tower-symbolic":
                 # symbolic means the exact value overflows the digit cap,
@@ -208,6 +206,14 @@ BAD_ARGUMENTS = {
         0, 1, Fraction(1, 2)),
     "r_main2_recursive c < 1": lambda: r_main2_recursive(
         3, 0, Fraction(1, 2)),
+    "r_main2_recursive m = c": lambda: r_main2_recursive(
+        2, 2, Fraction(1, 2)),
+    "r_main2_recursive m = c = 1": lambda: r_main2_recursive(
+        1, 1, Fraction(1, 2)),
+    # the top level is in the domain, but its base rank r = 2 is not
+    # above the next level's c = 2
+    "r_main2_recursive next level r <= c - 1": lambda: r_main2_recursive(
+        4, 3, Fraction(1)),
     "flat_intersect across ambients": lambda: flat_intersect(
         span([(1, 0)], 2, F2), span([(1, 0, 0)], 3, F2)),
     "flat_intersect across fields": lambda: flat_intersect(

@@ -111,11 +111,33 @@ def test_invalid_input_exits_2(tmp_path):
                  ["--threads", "x", "critical", str(fano)],
                  ["--deterministic", "critical", str(fano)],
                  ["make", "pg", "-m", "3", "-q", "2", "-c", "5"],
-                 ["make", "ag", "-m", "3", "-q", "2", "-c", "1"]):
+                 ["make", "ag", "-m", "3", "-q", "2", "-c", "1"],
+                 ["--threads", "1", "make", "pg", "-m", "3", "-q", "2"]):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert set(json.loads(r.stderr)) == {"error", "message"}, argv
         assert r.stdout == "", argv
+    # an unknown option before the subcommand is named, not its value
+    assert "--threads" in json.loads(r.stderr)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "{deep}"], ["contains", "{deep}", "{fano}"],
+    ["contains", "{fano}", "{deep}"], ["extremal", "{deep}", "-n", "2"],
+    ["density", "{deep}", "--n-min", "2", "--n-max", "2"],
+    ["sparse-flat", "{deep}", "-m", "2", "-c", "1"]])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # json.load raises RecursionError here, which is bad input, not a crash
+    deep, fano = tmp_path / "deep.json", tmp_path / "fano.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["make", "pg", "-m", "3", "-q", "2", "-o", str(fano)]) == 0
+    argv = [a.format(deep=deep, fano=fano) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message":
+                               "%s is nested too deeply to be a geometry"
+                               % deep}
 
 
 def test_usage_errors_return_2_in_process(capsys):

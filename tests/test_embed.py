@@ -238,6 +238,18 @@ def test_larger_guest_is_refused_before_its_searcher(monkeypatch):
         assert is_free(host, guest) is True
 
 
+def test_find_answers_none_for_a_host_too_small_or_of_too_low_rank():
+    # find refuses no host up front: the search itself finds no embedding
+    # of PG(2, 3) into PG(2, 3) minus a point, nor of three independent
+    # points into the four points of PG(1, 3)
+    assert EmbedSearcher(make_pg(3, F3)).find(make_g(3, F3, 2)) is None
+    triangle = Geometry(field=F3, ambient=3, points=tuple(
+        point_index(v, 3, F3) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    host = make_pg(2, F3)
+    assert len(host) > len(triangle) and geometry_rank(triangle) > 2
+    assert EmbedSearcher(triangle).find(host) is None
+
+
 def test_empty_guest_is_contained_everywhere():
     empty = Geometry(field=F2, ambient=2, points=())
     host = make_pg(2, F2)
@@ -581,9 +593,10 @@ def test_chain_keeps_the_first_witness(q):
             total = pg_size(n, f)
             for _ in range(4):
                 keep = rng.uniform(0.3, 1)
-                host = frozenset(i for i in range(total) if rng.random() < keep)
-                w = s.find(host, n)
-                assert w == _core_witness(s, sorted(host), n, s._no_rules)
+                host = Geometry(field=f, ambient=n, points=tuple(
+                    i for i in range(total) if rng.random() < keep))
+                w = s.find(host)
+                assert w == _core_witness(s, host.points, n, s._no_rules)
                 seen.append(w is not None)
     assert True in seen and False in seen
 
@@ -653,14 +666,14 @@ def test_anchored_find_matches_oracle(guest, transitive):
                 expect = any(img <= free | {p} for img in images)
                 assert (hit is not None) == expect, (order, p)
                 w = None if hit is None else s._witness(*hit)
+                host = Geometry(field=f, ambient=n, points=tuple(order))
                 if transitive:
                     first = _core_witness(s, order, n, s._no_rules, (new,))
                 else:
-                    first = s.find(frozenset(order), n)
+                    first = s.find(host)
                 assert w == first
                 if w is not None:
                     assert p in w.point_map
-                    host = Geometry(field=f, ambient=n, points=tuple(order))
                     assert verify_witness(host, guest, w)
                 seen.add(w is not None)
     assert seen == {True, False}
@@ -730,7 +743,7 @@ def test_memo_holds_each_canonical_vector_met_once(q, monkeypatch):
         ranks = {host.ambient, guest.ambient}
         assert 0 < len(s.memo) <= sum(q ** n for n in ranks)
         size = len(s.memo)
-        s.find(host.point_set, host.ambient)
+        s.find(host)
         assert len(s.memo) == size
     assert zeros
 

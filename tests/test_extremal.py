@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from conftest import brute_force_ex, sparse_flat_by_scan, subset_geometry
 
-import qgeom.embed
 import qgeom.extremal
+import qgeom.geometry
 from qgeom import (
     Budget,
     EmptyGeometry,
@@ -283,9 +283,9 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
     # iter_canonical_vectors, so at most one per point index the freeness
     # tests reach, whatever the size of the chosen set.  Only the
     # searcher's set-up and the final re-check (a map of the witness, with
-    # no second searcher) call point_vec.
+    # no second searcher) call point_vec, both through Geometry.point_vecs.
     calls = [0]
-    real = qgeom.embed.point_vec
+    real = qgeom.geometry.point_vec
 
     def counted(*args):
         calls[0] += 1
@@ -307,7 +307,7 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
             reached[0] = max(reached[0], order[-1])
         return search(self, host, order, host_ambient, *rest, **kw)
 
-    monkeypatch.setattr(qgeom.embed, "point_vec", counted)
+    monkeypatch.setattr(qgeom.geometry, "point_vec", counted)
     monkeypatch.setattr(qgeom.extremal, "iter_canonical_vectors",
                         counted_iter)
     monkeypatch.setattr(EmbedSearcher, "_search", spy)

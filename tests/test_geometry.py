@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from conftest import critical_exponent_by_flat_scan, subset_geometry
 
 from qgeom import (
     EmptyGeometry,
+    Flat,
     Geometry,
     complement_geometry,
     critical_exponent,
     field_make,
+    flat_points,
     g_size,
     geometry_from_json,
     geometry_rank,
@@ -211,6 +215,28 @@ def test_field_spec_never_equals_a_geometry(q):
               Geometry(field=f, ambient=1, points=())):
         assert not (f == G or G == f)
     assert len({f, make_pg(2, f)}) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_make_g_is_pg_minus_the_coordinate_flat(q):
+    # make_g finds the removed flat's points by index arithmetic; here
+    # they are listed from the flat itself
+    f = field_make(q)
+    for m in range(1, 5):
+        everything = make_pg(m, f).points
+        for c in range(m + 1):
+            basis = tuple(tuple(int(i == j) for j in range(m))
+                          for i in range(m - c))
+            removed = flat_points(Flat(basis=basis, n=m, field=f))
+            assert make_g(m, f, c).points == tuple(
+                i for i in everything if i not in removed), (m, c)
+
+
+def test_make_ag_of_a_large_space_is_quick():
+    # AG(19, 2), 2^19 points of a space of 2^20 - 1
+    code = ("from qgeom import field_make, make_ag; "
+            "assert len(make_ag(20, field_make(2))) == 2 ** 19")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=3)
 
 
 def test_make_g_rejects_c_above_m():
