@@ -7,34 +7,35 @@ points, backtracks over tuples of independent host points as basis images
 together with one nonzero scalar per image (the first scalar is pinned to
 1, absorbing the global projective scaling), and checks each remaining
 guest point as soon as the prefix of basis images determines it.  Host
-candidates are tried in index order, so the returned witness is
-deterministic.
+candidates are tried in a fixed order, index order for find, so the
+returned witness is deterministic.
 
 The search calls no rref: a candidate is reduced by reduce_row, the one
 elimination step, against the echelon rows of the basis images chosen so
 far to test independence, and a dict from each host point's canonical
-vector to its index places each guest image (see find).
+vector to its position in the dict places each guest image (see _search).
 
 Containment is defined up to projective equivalence, so the search need
 not visit embeddings that differ only by an automorphism of H.  Let b_l be
 basis point l (b0 is guest point 0) and O_l its orbit under a group K_l of
 automorphisms of H that fix b_0..b_(l-1) as vectors, with K_0 >= K_1 >= ...
-find keeps only embeddings in which, at every level l, b_l's image has the
-least host index among the images of O_l.  This is sound for any such
-subgroups: given an embedding phi, pick g in O_0 whose image has the least
-index and sigma in K_0 with sigma(b_0) = g; phi o sigma has the same image
-set and obeys the level-0 rule.  Then pick tau in K_1 in the same way for
-level 1 and compose again: tau fixes b_0 as a vector and maps O_0 onto
-itself, so b_0's image, its scalar and the level-0 rule stay; and so on
-down the levels.  Nor does the rule change the witness: the first
-embedding in candidate order obeys every level, because if some g in O_l
-mapped below b_l, composing with sigma in K_l taking b_l to g would give
-an embedding with the same images and scalars at the levels before l and
-a lower image at level l, so an earlier one.  Over GF(2) a vector is a
-point, and K_l just fixes the points b_0..b_(l-1).  The searcher builds
-the chain once: K_l is generated by the automorphisms that self-searches
-of H into H find with b_0..b_(l-1) pinned to themselves, all levels within
-one budget of |H| * rank * q candidate steps (see _chain).
+find keeps only embeddings in which, at every level l, b_l's image comes
+first in the candidate order, whatever that order is, among the images of
+O_l.  This is sound for any such subgroups: given an embedding phi, pick
+g in O_0 whose image comes first and sigma in K_0 with sigma(b_0) = g;
+phi o sigma has the same image set and obeys the level-0 rule.  Then
+pick tau in K_1 in the same way for level 1 and compose again: tau fixes
+b_0 as a vector and maps O_0 onto itself, so b_0's image, its scalar and
+the level-0 rule stay; and so on down the levels.  Nor does the rule
+change the witness: the first embedding in candidate order obeys every
+level, because if some g in O_l mapped before b_l, composing with sigma in
+K_l taking b_l to g would give an embedding with the same images and
+scalars at the levels before l and an earlier image at level l, so an
+earlier one.  Over GF(2) a vector is a point, and K_l just fixes the
+points b_0..b_(l-1).  The searcher builds the chain once: K_l is generated
+by the automorphisms that self-searches of H into H find with
+b_0..b_(l-1) pinned to themselves, all levels within one budget of
+|H| * rank * q candidate steps (see _chain).
 
 ex_exact's freeness test, find_through, asks for a copy of H in a host
 whose points other than the newest are H-free, so every copy goes through
@@ -47,7 +48,6 @@ A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
 """
 
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
 from operator import getitem
@@ -194,7 +194,7 @@ class EmbedSearcher:
                             counts(g) != base:
                         continue
                     hit, steps = self._search(
-                        own, range(self.size), H.ambient, self._no_rules,
+                        own, H.ambient, self._no_rules,
                         prefix + ((vecs[g], g),), cap=cap - used)
                     used += steps
                     if hit is None:
@@ -254,9 +254,9 @@ class EmbedSearcher:
         Returns the first EmbeddingWitness in candidate order, or None.
 
         This is the Geometry front of _search: it builds the host map,
-        from the canonical vector of each host point to its index in index
-        order (one point_vec per host point), once per call, and turns the
-        raw hit _search returns into a witness.  It refuses no host up
+        from the canonical vector of each host point to its position in
+        G.points (one point_vec per host point), once per call, and turns
+        the raw hit _search returns into a witness.  It refuses no host up
         front: a host with fewer points than the guest, or of an ambient
         rank below the guest's rank, gets None from the search itself,
         and contains refuses both before it builds a searcher.  ex_exact
@@ -265,17 +265,18 @@ class EmbedSearcher:
         """
         if self.m == 0:
             return EmbeddingWitness(map=(), point_map=())
-        host = dict(zip(G.point_vecs(), G.points))
-        hit, _ = self._search(host, G.points, G.ambient, self._rules)
-        return None if hit is None else self._witness(*hit)
+        host = {v: k for k, v in enumerate(G.point_vecs())}
+        hit, _ = self._search(host, G.ambient, self._rules)
+        return None if hit is None else self._witness(hit, G.points)
 
-    def find_through(self, host, order, host_ambient, new):
+    def find_through(self, host, new):
         """ex_exact's freeness test: is there a copy of H through new?
 
-        host and order are as _search takes them; new is the (canonical
-        vector, index) pair of a host point, and the host without it must
-        be H-free, so every embedding goes through new.  Returns _search's
-        first raw hit, or None.  The guest must have a point.
+        host is as _search takes it; new is the (canonical vector,
+        position) pair of a host point, whose vector's length is the
+        host's ambient rank, and the host without it must be H-free, so
+        every embedding goes through new.  Returns _search's first raw
+        hit, or None.  The guest must have a point.
 
         A guest whose found O_0 is all of its points has b0 pinned to new
         and the level-0 rule off: if phi(g) is new, pick sigma in K_0 with
@@ -283,27 +284,26 @@ class EmbedSearcher:
         new.  The deeper levels keep their rules, since K_1, K_2, ... fix
         b0 as a vector.  Any other guest gets find's plain search.
         """
+        n = len(new[0])
         if self._anchored_rules is None:
-            return self._search(host, order, host_ambient, self._rules)[0]
-        return self._search(host, order, host_ambient, self._anchored_rules,
-                            (new,))[0]
+            return self._search(host, n, self._rules)[0]
+        return self._search(host, n, self._anchored_rules, (new,))[0]
 
-    def _search(self, host, order, host_ambient, rules, top=(), cap=None):
+    def _search(self, host, host_ambient, rules, top=(), cap=None):
         """The backtracking core of find, find_through and _chain.
 
         host: a dict from the canonical vector of each host point to its
-        index, in index order; the caller builds it (find once per call,
-        ex_exact once per search, _chain once per searcher) and _search
-        only reads it.  order: the host's point indices, increasing, so
-        the dict's values in order.  rules: a table of _rule_table.  top:
-        the pinned prefix, (canonical vector, index) pairs of the host
-        points that levels 0..len(top)-1 take as their images, so _search
-        computes no vector; every pinned level but the last keeps scalar
-        1, so the prefix is pinned as vectors.  cap: raise
-        _OutOfSteps rather than try more host candidates than this, over
-        all levels.  Returns the raw hit, the scalar-times-image rows
-        lambda_i * w_i of the basis and the host point of each guest point
-        (see _witness), or None, and the candidates tried.
+        position, 0, 1, 2, ... in the dict's order, the candidate order;
+        the caller builds it (find once per call, ex_exact once per search,
+        _chain once per searcher) and _search only reads it.  rules: a
+        table of _rule_table.  top: the pinned prefix, (canonical vector,
+        position) pairs of the host points that levels 0..len(top)-1 take
+        as their images, so _search computes no vector; every pinned level
+        but the last keeps scalar 1, so the prefix is pinned as vectors.
+        cap: raise _OutOfSteps rather than try more host candidates than
+        this, over all levels.  Returns the raw hit, the scalar-times-image
+        rows lambda_i * w_i of the basis and the host position of each
+        guest point, or None, and the candidates tried.
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
@@ -312,8 +312,8 @@ class EmbedSearcher:
         image's canonical vector, read from the searcher's memo (see
         __init__) and computed only on a miss, is looked up in the host
         map.  Level i checks every guest point it determines except b_i,
-        whose image is the candidate w_i's index.  A candidate that passes
-        every check is then reduced against the echelon rows of
+        whose image is the candidate w_i's position.  A candidate that
+        passes every check is then reduced against the echelon rows of
         w_0..w_(i-1): it is independent of them exactly when a nonzero
         remainder is left, and that remainder becomes echelon row i.  The
         self-searches of _chain (the _no_rules table) reduce first: their
@@ -325,13 +325,12 @@ class EmbedSearcher:
         at most one entry per check.
 
         The rule (see the module docstring) cuts twice at each level i: a
-        check of a guest point in some O_l fails when its image is at or
-        below b_l's, and when basis point b_i is in some O_l with l < i,
-        only host points above b_l's image are tried for it (the bisect
-        start).  Neither cut removes the first embedding in candidate
-        order, so the witness is the one the search without the rule
-        returns.  The tables of these bounds are built once per searcher
-        (see _rule_table).
+        check of a guest point in some O_l fails when its image's position
+        is at or below b_l's, and when basis point b_i is in some O_l with
+        l < i, only the host points after b_l's image are tried for it.
+        Neither cut removes the first embedding in candidate order, so the
+        witness is the one the search without the rule returns.  The tables
+        of these bounds are built once per searcher (see _rule_table).
 
         backtrack calls itself through its closure cell, a reference cycle,
         so the cell is emptied on the way out: everything the search made
@@ -349,8 +348,7 @@ class EmbedSearcher:
 
         coords, basis = self.coords, self.basis
         scaled = [None] * m            # lambda_i * w_i
-        # host point index per guest point, and -1 in the slot that bounds
-        # nothing
+        # host position per guest point, and -1 in the slot bounding nothing
         images = [None] * self.size + [-1]
         echelon = [None] * m           # (pivot, row) with row[pivot] == 1
         steps = 0
@@ -366,8 +364,8 @@ class EmbedSearcher:
                         step = shift[a[k]]
                         pre = [step[x][y] for x, y in zip(pre, scaled[k])]
                 # rows[lam][t] maps x to pre_t + a_i * lam * x.  An image
-                # with index <= images[bound] fails; a point can meet its
-                # bounding basis point's image only if w_i depends on
+                # at a position <= images[bound] fails; a point can meet
+                # its bounding basis point's image only if w_i depends on
                 # w_0..w_(i-1), which fails anyway.
                 checks.append((j, bound, [[shift[c][x] for x in pre]
                                           for c in mul[a[i]]]))
@@ -376,8 +374,7 @@ class EmbedSearcher:
             elif starts[i] == self.size:
                 candidates = items
             else:
-                candidates = islice(
-                    items, bisect_right(order, images[starts[i]]), None)
+                candidates = islice(items, images[starts[i]] + 1, None)
             scalars = (1,) if i == 0 or i + 1 < len(top) else nonzero
             for w, hi in candidates:
                 if steps == cap:
@@ -418,11 +415,14 @@ class EmbedSearcher:
         finally:
             del backtrack
 
-    def _witness(self, scaled, point_map):
-        """The witness of a raw hit of _search: the map matrix in the
-        canonical span basis, combined from the rows lambda_i * w_i."""
+    def _witness(self, hit, points):
+        """The witness of a raw hit of _search on a host map whose position
+        k holds host point points[k]: the map matrix in the canonical span
+        basis, combined from the rows lambda_i * w_i."""
+        scaled, positions = hit
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
-        return EmbeddingWitness(map=tuple(rows), point_map=point_map)
+        return EmbeddingWitness(map=tuple(rows),
+                                point_map=tuple(points[k] for k in positions))
 
 
 def contains(G, H):
@@ -455,7 +455,7 @@ def verify_witness(G, H, w):
     if G.field != H.field:
         return False
     f = H.field
-    m, _, coords = span_coordinates(H)
+    m, coords = span_coordinates(H)
     seq = (list, tuple)
     if not (isinstance(w.map, seq) and isinstance(w.point_map, seq)) or \
             len(w.map) != m or len(w.point_map) != len(coords):

@@ -10,15 +10,15 @@ be all of H, the test pins that point's image to p; otherwise it is
 find's plain search, and the invariant makes every embedding it finds go
 through p.
 
-The search keeps one host map, from the canonical vector of each chosen
-point to its index, for the whole search and hands it to the search core
-as it stands.  Points are chosen in increasing order, so the map is in
-index order by construction: including p adds p's vector at the end, and
-undoing that include pops it off again.  Each point's vector is read
-once per search from iter_canonical_vectors, the first time the search
-includes that point, and the same tuple serves as its host-map key and as
-its pinned image in every freeness test.  So no vector is computed twice,
-however large the current set is, and no freeness test builds a witness.
+The search keeps the current set as one host map, from the canonical
+vector of each chosen point to its position in the map, and hands it to
+the search core as it stands.  Points are chosen in increasing order, so
+the map is in index order: including p adds p's vector at the end, and
+undoing that include pops it off again.  Each point's vector is read once
+per search from iter_canonical_vectors, the first time the search includes
+that point, and serves as its host-map key and its pinned image in every
+freeness test.  So no vector is computed twice and no freeness test builds
+a witness; the witness's point indices are computed once, at the end.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -42,7 +42,7 @@ from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry
 from .geometry import (Geometry, _listable_size, critical_exponent,
                        first_flat, g_size)
-from .projective import iter_canonical_vectors
+from .projective import iter_canonical_vectors, point_index
 
 
 class Budget(namedtuple("Budget", "node_cap time_cap",
@@ -52,8 +52,8 @@ class Budget(namedtuple("Budget", "node_cap time_cap",
     __slots__ = ()
 
 
-class ExtremalResult(namedtuple("ExtremalResult", "value witness status nodes",
-                                defaults=(0,))):
+class ExtremalResult(namedtuple("ExtremalResult",
+                                "value witness status nodes")):
     """ex_exact's answer; status is "exact" or "lower-bound"."""
 
     __slots__ = ()
@@ -100,9 +100,8 @@ def ex_exact(H, n, budget=None):
     searcher = EmbedSearcher(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
-    best = []
-    chosen = []  # increasing, so it is also the host order
-    host = {}    # canonical vector -> index of each chosen point, in order
+    best = []  # the vectors of the largest set so far
+    host = {}  # canonical vector -> position of each chosen point
     # vecs[i] is point i's vector; a node includes point i only after one
     # included i - 1, so the list grows by at most one at a time
     vecs = []
@@ -116,7 +115,6 @@ def ex_exact(H, n, budget=None):
     while stack:
         i = stack.pop()
         if i < 0:
-            chosen.pop()
             host.popitem()
             continue
         if nodes >= budget.node_cap or \
@@ -124,26 +122,25 @@ def ex_exact(H, n, budget=None):
             exhausted = True
             break
         nodes += 1
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if i == total or len(chosen) + (total - i) <= len(best):
+        if len(host) > len(best):
+            best = list(host)
+        if i == total or len(host) + (total - i) <= len(best):
             continue
-        if len(chosen) > 1:  # below two points, 2-transitivity fixes them
+        if len(host) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
         if i == len(vecs):
             vecs.append(next(points))
         v = vecs[i]
-        chosen.append(i)
-        host[v] = i
-        if searcher.find_through(host, chosen, n, (v, i)) is None:
+        host[v] = k = len(host)
+        if searcher.find_through(host, (v, k)) is None:
             stack += (-1, i + 1)
         else:
-            chosen.pop()
             host.popitem()
 
     # find is a plain search on a fresh host map, not the freeness tests'
     # incremental one, so the re-check stands apart from them
-    witness = Geometry(field=f, ambient=n, points=tuple(best))
+    witness = Geometry(field=f, ambient=n,
+                       points=tuple(point_index(v, n, f) for v in best))
     if searcher.find(witness) is not None:
         raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,

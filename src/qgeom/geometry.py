@@ -116,14 +116,14 @@ def geometry_rank(H):
 def span_coordinates(H):
     """Coordinates of H's points in the RREF basis of their span.
 
-    Returns (rank, pivots, coord vectors aligned with H.points).  Because
+    Returns (rank, coord vectors aligned with H.points).  Because
     the span basis is in reduced echelon form, the coordinate vector of a
     member v is just v restricted to the pivot columns.
     """
     vecs = H.point_vecs()
     basis, pivots = rref(vecs, H.ambient, H.field)
     coords = [tuple(v[c] for c in pivots) for v in vecs]
-    return len(basis), pivots, coords
+    return len(basis), coords
 
 
 def first_flat(vecs, n, f, k, r):
@@ -200,7 +200,7 @@ def critical_exponent(H):
     """
     if not H.points:
         raise EmptyGeometry("critical exponent of the empty geometry")
-    m, _, coords = span_coordinates(H)
+    m, coords = span_coordinates(H)
     for k in range(m - 1, -1, -1):
         if first_flat(coords, m, H.field, k, 0):
             return m - k

@@ -99,7 +99,7 @@ def critical_exponent_by_flat_scan(H):
     returns at the first one disjoint from H.
     """
     f = H.field
-    m, _, coords = span_coordinates(H)
+    m, coords = span_coordinates(H)
     inside = frozenset(point_index(v, m, f) for v in coords)
     for c in range(1, m + 1):
         for F in iter_flats(m, f, m - c):

@@ -8,8 +8,13 @@ from qgeom import (
     Unsupported,
     bose_burton_value,
     field_make,
+    flat_contains_point,
     flat_intersect,
     g_size,
+    geometry_from_json,
+    geometry_to_json,
+    make_pg,
+    point_index,
     r_main2_binary,
     r_main2_recursive,
     r_mdhj_binary,
@@ -218,6 +223,15 @@ BAD_ARGUMENTS = {
         span([(1, 0)], 2, F2), span([(1, 0, 0)], 3, F2)),
     "flat_intersect across fields": lambda: flat_intersect(
         span([(1, 0)], 2, F2), span([(1, 0)], 2, field_make(3))),
+    "flat_contains_point across ambients": lambda: flat_contains_point(
+        span([(1, 0)], 2, F2), (1, 0, 0)),
+    "point_index vector longer than n": lambda: point_index((1, 0, 0), 2, F2),
+    "point_index vector shorter than n": lambda: point_index((1, 0), 3, F2),
+    "ceil_log2 r = 0": lambda: ceil_log2(0),
+    "ceil_log2 r < 0": lambda: ceil_log2(-3),
+    "geometry_from_json coordinate list of wrong length": lambda:
+        geometry_from_json(dict(geometry_to_json(make_pg(3, F2)),
+                                points=[[0, 0, 1], [1, 0]])),
 }
 
 

@@ -286,7 +286,7 @@ def test_bounds_command():
     assert r.returncode == 2
 
 
-def test_deterministic_flag_accepted(tmp_path):
+def test_two_extremal_runs_print_identical_output(tmp_path):
     forbid = tmp_path / "line.json"
     run_cli("make", "pg", "-m", "2", "-q", "2", "-o", str(forbid))
     r1 = run_cli("extremal", str(forbid), "-n", "3")

@@ -302,7 +302,7 @@ def _image_sets(guest, n):
     # independent oracle: the host point sets onto which some full-rank
     # matrix maps the guest span coordinates
     f = guest.field
-    m, _, coords = span_coordinates(guest)
+    m, coords = span_coordinates(guest)
     return {frozenset(point_index(_times(a, M, f), n, f) for a in coords)
             for M in _full_rank_matrices(m, n, f)}
 
@@ -348,7 +348,7 @@ def test_elimination_matches_gauss_jordan_oracle(q):
         vecs = H.point_vecs()
         R, pivots, _ = rref_by_gauss_jordan(vecs, n, f)
         assert span_coordinates(H) == (
-            len(R), pivots, [tuple(v[c] for c in pivots) for v in vecs])
+            len(R), [tuple(v[c] for c in pivots) for v in vecs])
 
         basis = []
         for j, v in enumerate(vecs):
@@ -443,7 +443,7 @@ def _automorphisms(H):
     # every permutation of H's points, by position, that some invertible
     # matrix on span coordinates induces
     f = H.field
-    m, _, coords = span_coordinates(H)
+    m, coords = span_coordinates(H)
     position = {point_index(a, m, f): j for j, a in enumerate(coords)}
     perms = set()
     for M in _full_rank_matrices(m, m, f):
@@ -563,14 +563,15 @@ def test_chain_is_within_the_stabilizer_chain(guest, whole):
 
 
 def _host_map(order, n, f):
-    # the map find builds and _search reads: canonical vector -> index
-    return {point_vec(i, n, f): i for i in order}
+    # the map find builds and _search reads, with the points in the given
+    # order: canonical vector -> position
+    return {point_vec(i, n, f): k for k, i in enumerate(order)}
 
 
 def _core_witness(s, order, n, *args, **kw):
     # _search on order's host map, its raw hit made a witness as find does
-    hit = s._search(_host_map(order, n, s.f), order, n, *args, **kw)[0]
-    return None if hit is None else s._witness(*hit)
+    hit = s._search(_host_map(order, n, s.f), n, *args, **kw)[0]
+    return None if hit is None else s._witness(hit, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -601,6 +602,41 @@ def test_chain_keeps_the_first_witness(q):
     assert True in seen and False in seen
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rule_keeps_the_first_witness_in_any_candidate_order(q):
+    # the rule needs only some fixed order of the host's candidates: on a
+    # host map built in a shuffled order, _search hits exactly when find
+    # does, and its hit is an embedding, the first one that the search
+    # without any rule finds in the same order
+    f = field_make(q)
+    rng = random.Random(70 + q)
+    guests = [(make_pg(3, f), True), (make_ag(3, f), True),
+              (_line_and_point(f), False), (_triangle_and_point(f), False),
+              (_random_spanning_guest(f, 3, rng), False)]
+    seen, moved = set(), set()
+    for guest, transitive in guests:
+        s = EmbedSearcher(guest)
+        assert (len(s.orbit) == len(guest)) == transitive
+        for n in (s.m, s.m + 1) if pg_size(s.m + 1, f) <= 40 else (s.m,):
+            total = pg_size(n, f)
+            for _ in range(4):
+                keep = rng.uniform(0.3, 1)
+                host = Geometry(field=f, ambient=n, points=tuple(
+                    i for i in range(total) if rng.random() < keep))
+                order = rng.sample(host.points, len(host))
+                hit = s._search(_host_map(order, n, f), n, s._rules)[0]
+                w = s.find(host)
+                assert (hit is None) == (w is None), (order, guest.points)
+                if hit is not None:
+                    shuffled = s._witness(hit, order)
+                    assert verify_witness(host, guest, shuffled)
+                    assert shuffled == _core_witness(s, order, n, s._no_rules)
+                    moved.add(shuffled != w)
+                seen.add(hit is not None)
+    assert seen == {True, False}
+    assert True in moved  # some shuffled order found another witness
+
+
 def test_chain_cuts_deeper_levels():
     # the Fano plane in G(4, 2, 2): no copy, found with fewer steps by the
     # whole chain than by the rule of level 0 alone
@@ -608,8 +644,8 @@ def test_chain_cuts_deeper_levels():
     host = make_g(5, F2, 2)
     level_0 = s._rule_table((s.orbit,) + (frozenset(),) * (s.m - 1))
     own = _host_map(host.points, host.ambient, F2)
-    hit, steps = s._search(own, host.points, host.ambient, s._rules)
-    hit_0, steps_0 = s._search(own, host.points, host.ambient, level_0)
+    hit, steps = s._search(own, host.ambient, s._rules)
+    hit_0, steps_0 = s._search(own, host.ambient, level_0)
     assert hit is None and hit_0 is None
     assert steps < steps_0
 
@@ -661,11 +697,11 @@ def test_anchored_find_matches_oracle(guest, transitive):
             outside = sorted(set(range(total)) - free)
             for p in rng.sample(outside, min(len(outside), 3)):
                 order = sorted(free | {p})
-                new = (point_vec(p, n, f), p)
-                hit = s.find_through(_host_map(order, n, f), order, n, new)
+                new = (point_vec(p, n, f), order.index(p))
+                hit = s.find_through(_host_map(order, n, f), new)
                 expect = any(img <= free | {p} for img in images)
                 assert (hit is not None) == expect, (order, p)
-                w = None if hit is None else s._witness(*hit)
+                w = None if hit is None else s._witness(hit, order)
                 host = Geometry(field=f, ambient=n, points=tuple(order))
                 if transitive:
                     first = _core_witness(s, order, n, s._no_rules, (new,))

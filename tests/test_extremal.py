@@ -189,11 +189,13 @@ def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     calls = []
     through = EmbedSearcher.find_through
 
-    def spy(self, host, host_order, host_ambient, new):
-        p = host_order[-1]
-        calls.append(new == (point_vec(p, n, H.field), p)
+    def spy(self, host, new):
+        f = H.field
+        p = max(point_index(v, n, f) for v in host)
+        last = list(host.items())[-1]
+        calls.append(new == last == (point_vec(p, n, f), len(host) - 1)
                      and not self._anchored_rules[0][0])
-        return through(self, host, host_order, host_ambient, new)
+        return through(self, host, new)
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
@@ -221,9 +223,9 @@ def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
     hits = []
     through = EmbedSearcher.find_through
 
-    def spy(self, host, host_order, host_ambient, new):
+    def spy(self, host, new):
         assert self._anchored_rules is None
-        hit = through(self, host, host_order, host_ambient, new)
+        hit = through(self, host, new)
         if hit is not None:
             hits.append(new[1] in hit[1])
         return hit
@@ -251,13 +253,14 @@ def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
     calls = []
     through = EmbedSearcher.find_through
 
-    def spy(self, host, order, host_ambient, new):
-        assert host_ambient == n
-        assert list(order) == sorted(set(order))
-        assert list(host.items()) == [(point_vec(i, n, f), i)
-                                      for i in order]
-        calls.append(new == (point_vec(order[-1], n, f), order[-1]))
-        return through(self, host, order, host_ambient, new)
+    def spy(self, host, new):
+        assert len(new[0]) == n
+        order = [point_index(v, n, f) for v in host]
+        assert order == sorted(set(order))
+        assert list(host.items()) == [(point_vec(i, n, f), k)
+                                      for k, i in enumerate(order)]
+        calls.append(new == (point_vec(order[-1], n, f), len(order) - 1))
+        return through(self, host, new)
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n, budget)
@@ -302,10 +305,11 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
     reached = [-1]
     search = EmbedSearcher._search
 
-    def spy(self, host, order, host_ambient, *rest, **kw):
+    def spy(self, host, host_ambient, *rest, **kw):
         if host_ambient == 5:  # not a self-search of H into itself
-            reached[0] = max(reached[0], order[-1])
-        return search(self, host, order, host_ambient, *rest, **kw)
+            *_, last = host
+            reached[0] = max(reached[0], point_index(last, 5, F2))
+        return search(self, host, host_ambient, *rest, **kw)
 
     monkeypatch.setattr(qgeom.geometry, "point_vec", counted)
     monkeypatch.setattr(qgeom.extremal, "iter_canonical_vectors",
