@@ -12,8 +12,9 @@ returned witness is deterministic.
 
 The search calls no rref: a candidate is reduced by reduce_row, the one
 elimination step, against the echelon rows of the basis images chosen so
-far to test independence, and a dict from each host point's canonical
-vector to its position in the dict places each guest image (see _search).
+far to test independence, and a dict from each host point's index to its
+position in the dict places each guest image (see _search).  The vectors
+stay inside the searcher, each computed once, when first needed.
 
 Containment is defined up to projective equivalence, so the search need
 not visit embeddings that differ only by an automorphism of H.  Let b_l be
@@ -57,6 +58,7 @@ from .geometry import geometry_rank, span_coordinates
 from .projective import (
     combine,
     point_index,
+    point_vec,
     reduce_row,
     rref,
 )
@@ -113,12 +115,14 @@ class EmbedSearcher:
             coords.append(combine(y, T, f))
         self.coords = coords
 
-        # Every raw image vector met so far, of any length, to its
-        # canonical vector (the zero vector to itself), for the searcher's
+        # Every raw image vector met so far, of any length n, to its point
+        # index in PG(n-1, q) (the zero vector to -1), for the searcher's
         # lifetime: images repeat across candidates, scalars and searches,
-        # so each distinct one is rescaled once.  One entry per vector
-        # met, so at most q^n per ambient rank n searched.
+        # so each is indexed once, and at most q^n per ambient rank n.
+        # vecs: per ambient rank, each guest point and each host point
+        # tried so far to its vector.
         self.memo = {}
+        self.vecs = {H.ambient: dict(zip(H.points, vecs))}
 
         # Guest point j becomes checkable once basis images 1..level(j) are
         # fixed; grouping by that level front-loads the pruning.
@@ -164,7 +168,7 @@ class EmbedSearcher:
         cap = self.size * self.m * f.q
         used = 0
         # H's own map, to positions, so a hit's point map is a permutation
-        own = {v: j for j, v in enumerate(vecs)}
+        own = {p: j for j, p in enumerate(H.points)}
         orbits = [frozenset((b,)) for b in basis]
         perms = []
 
@@ -172,7 +176,7 @@ class EmbedSearcher:
             # |line(p, x) & H| where p is point j: automorphisms carry lines
             # to lines, so they keep these counts.  Costs q * ambient.
             p = vecs[j]
-            return 1 + sum(self._canonical(combine((1, c), (x, p), f)) in own
+            return 1 + sum(self._index(combine((1, c), (x, p), f)) in own
                            for c in range(f.q))
 
         try:
@@ -186,7 +190,7 @@ class EmbedSearcher:
                         return [on_line(basis[k], vecs[g])
                                 for k in range(level)]
                 base = counts(b)
-                prefix = tuple((vecs[k], k) for k in basis[:level])
+                prefix = tuple((H.points[k], k) for k in basis[:level])
                 first = len(perms)  # this level's permutations start here
                 orbit = {b}
                 for g in range(self.size):
@@ -195,7 +199,7 @@ class EmbedSearcher:
                         continue
                     hit, steps = self._search(
                         own, H.ambient, self._no_rules,
-                        prefix + ((vecs[g], g),), cap=cap - used)
+                        prefix + ((H.points[g], g),), cap=cap - used)
                     used += steps
                     if hit is None:
                         continue
@@ -212,15 +216,13 @@ class EmbedSearcher:
             used = cap
         return tuple(orbits), perms, used
 
-    def _canonical(self, v):
-        """v scaled to its leading 1 (zero stays zero), computed on a memo
-        miss and kept in the memo."""
-        c = self.memo.get(v)
-        if c is None:
-            lead = next(filter(None, v), 0)
-            c = self.memo[v] = tuple(map(self.f.unit[lead].__getitem__, v)) \
-                if lead > 1 else v
-        return c
+    def _index(self, v):
+        """The index of v's point in PG(len(v)-1, q), or -1 for the zero
+        vector, computed on a memo miss and kept in the memo."""
+        p = self.memo.get(v)
+        if p is None:
+            p = self.memo[v] = point_index(v, len(v), self.f) if any(v) else -1
+        return p
 
     def _rule_table(self, orbits):
         """The rule for the given per-level orbits, in the form _search reads.
@@ -254,29 +256,29 @@ class EmbedSearcher:
         Returns the first EmbeddingWitness in candidate order, or None.
 
         This is the Geometry front of _search: it builds the host map,
-        from the canonical vector of each host point to its position in
-        G.points (one point_vec per host point), once per call, and turns
-        the raw hit _search returns into a witness.  It refuses no host up
-        front: a host with fewer points than the guest, or of an ambient
-        rank below the guest's rank, gets None from the search itself,
-        and contains refuses both before it builds a searcher.  ex_exact
+        from each point index of G to its position in G.points, once per
+        call, and turns the raw hit _search returns into a witness.  It
+        refuses no host up front: a host with fewer points than the guest,
+        or of an ambient rank below the guest's rank, gets None from the
+        search itself, and contains refuses both before it builds a
+        searcher.  ex_exact
         keeps its own map across many searches and calls find_through
         instead.
         """
         if self.m == 0:
             return EmbeddingWitness(map=(), point_map=())
-        host = {v: k for k, v in enumerate(G.point_vecs())}
+        host = {p: k for k, p in enumerate(G.points)}
         hit, _ = self._search(host, G.ambient, self._rules)
         return None if hit is None else self._witness(hit, G.points)
 
-    def find_through(self, host, new):
+    def find_through(self, host, n, new):
         """ex_exact's freeness test: is there a copy of H through new?
 
-        host is as _search takes it; new is the (canonical vector,
-        position) pair of a host point, whose vector's length is the
-        host's ambient rank, and the host without it must be H-free, so
-        every embedding goes through new.  Returns _search's first raw
-        hit, or None.  The guest must have a point.
+        host and n, its ambient rank, are as _search takes them; new is
+        the (point index, position) pair of a host point, and the host
+        without it must be H-free, so every embedding goes through new.
+        Returns _search's first raw hit, or None.  The guest must have a
+        point.
 
         A guest whose found O_0 is all of its points has b0 pinned to new
         and the level-0 rule off: if phi(g) is new, pick sigma in K_0 with
@@ -284,7 +286,6 @@ class EmbedSearcher:
         new.  The deeper levels keep their rules, since K_1, K_2, ... fix
         b0 as a vector.  Any other guest gets find's plain search.
         """
-        n = len(new[0])
         if self._anchored_rules is None:
             return self._search(host, n, self._rules)[0]
         return self._search(host, n, self._anchored_rules, (new,))[0]
@@ -292,30 +293,32 @@ class EmbedSearcher:
     def _search(self, host, host_ambient, rules, top=(), cap=None):
         """The backtracking core of find, find_through and _chain.
 
-        host: a dict from the canonical vector of each host point to its
-        position, 0, 1, 2, ... in the dict's order, the candidate order;
-        the caller builds it (find once per call, ex_exact once per search,
-        _chain once per searcher) and _search only reads it.  rules: a
-        table of _rule_table.  top: the pinned prefix, (canonical vector,
-        position) pairs of the host points that levels 0..len(top)-1 take
-        as their images, so _search computes no vector; every pinned level
-        but the last keeps scalar 1, so the prefix is pinned as vectors.
-        cap: raise _OutOfSteps rather than try more host candidates than
-        this, over all levels.  Returns the raw hit, the scalar-times-image
-        rows lambda_i * w_i of the basis and the host position of each
-        guest point, or None, and the candidates tried.
+        host: a dict from the index of each host point in
+        PG(host_ambient-1, q) to its position, 0, 1, 2, ... in the dict's
+        order, the candidate order; the caller builds it (find once per
+        call, ex_exact once per search, _chain once per searcher) and
+        _search only reads it, computing a candidate's vector the first
+        time the searcher tries that point (see __init__).  rules: a table
+        of _rule_table.  top: the pinned prefix, (point index, position)
+        pairs of the host points that levels 0..len(top)-1 take as their
+        images; every pinned level but the last keeps scalar 1, so the
+        prefix is pinned as vectors.  cap: raise _OutOfSteps rather than
+        try more host candidates than this, over all levels.  Returns the
+        raw hit, the scalar-times-image rows lambda_i * w_i of the basis
+        and the host position of each guest point, or None, and the
+        candidates tried.
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
         of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
         (w_i, lambda_i) pair costs one table lookup per coordinate.  The
-        image's canonical vector, read from the searcher's memo (see
-        __init__) and computed only on a miss, is looked up in the host
-        map.  Level i checks every guest point it determines except b_i,
-        whose image is the candidate w_i's position.  A candidate that
-        passes every check is then reduced against the echelon rows of
-        w_0..w_(i-1): it is independent of them exactly when a nonzero
-        remainder is left, and that remainder becomes echelon row i.  The
+        image's point index, read from the searcher's memo (see __init__)
+        and computed only on a miss, is looked up in the host map.  Level
+        i checks every guest point it determines except b_i, whose image
+        is the candidate w_i's position.  A candidate that passes every
+        check is then reduced against the echelon rows of w_0..w_(i-1): it
+        is independent of them exactly when a nonzero remainder is left,
+        and that remainder becomes echelon row i.  The
         self-searches of _chain (the _no_rules table) reduce first: their
         host is the guest, where a candidate in the span of the pinned
         prefix tends to pass every check, up to |H| lookups per scalar,
@@ -340,7 +343,8 @@ class EmbedSearcher:
         f = self.f
         m = self.m
         mul, shift = f.mul_table, f.shift
-        memo, canonical = self.memo, self._canonical
+        memo, index = self.memo, self._index
+        vecs = self.vecs.setdefault(host_ambient, {})
         nonzero = range(1, f.q)
         items = host.items()  # the candidate order
         _, starts, rule_checks = rules
@@ -376,11 +380,14 @@ class EmbedSearcher:
             else:
                 candidates = islice(items, images[starts[i]] + 1, None)
             scalars = (1,) if i == 0 or i + 1 < len(top) else nonzero
-            for w, hi in candidates:
+            for p, hi in candidates:
                 if steps == cap:
                     raise _OutOfSteps
                 steps += 1
                 images[basis[i]] = hi
+                w = vecs.get(p)
+                if w is None:
+                    w = vecs[p] = point_vec(p, host_ambient, f)
                 r = None
                 if independent_first:
                     r = reduce_row(w, echelon[:i], f)
@@ -390,9 +397,11 @@ class EmbedSearcher:
                 for lam in scalars:
                     for j, bound, rows in checks:
                         # a w in the span can give the zero vector; the
-                        # memo keeps it zero and no host point matches it
+                        # memo maps it to -1 and no host point matches it.
+                        # Point 0 is valid, so a hit is told by None.
                         img = tuple(map(getitem, rows[lam], w))
-                        idx = host.get(memo.get(img) or canonical(img), -1)
+                        pt = memo.get(img)
+                        idx = host.get(index(img) if pt is None else pt, -1)
                         if idx <= images[bound]:
                             break
                         images[j] = idx

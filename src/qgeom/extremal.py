@@ -10,15 +10,13 @@ be all of H, the test pins that point's image to p; otherwise it is
 find's plain search, and the invariant makes every embedding it finds go
 through p.
 
-The search keeps the current set as one host map, from the canonical
-vector of each chosen point to its position in the map, and hands it to
-the search core as it stands.  Points are chosen in increasing order, so
-the map is in index order: including p adds p's vector at the end, and
-undoing that include pops it off again.  Each point's vector is read once
-per search from iter_canonical_vectors, the first time the search includes
-that point, and serves as its host-map key and its pinned image in every
-freeness test.  So no vector is computed twice and no freeness test builds
-a witness; the witness's point indices are computed once, at the end.
+The search keeps the current set as one host map, from the index of each
+chosen point to its position in the map, and hands it to the search core
+as it stands.  Points are chosen in increasing order, so the map is in
+index order: including p adds p at the end, and undoing that include pops
+it off again.  The vectors stay inside the searcher, which computes each
+point's vector once, the first time a freeness test tries it.  No freeness
+test builds a witness, and the largest set's indices are the witness.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -42,7 +40,6 @@ from .embed import EmbedSearcher, contains
 from .errors import EmptyGeometry
 from .geometry import (Geometry, _listable_size, critical_exponent,
                        first_flat, g_size)
-from .projective import iter_canonical_vectors, point_index
 
 
 class Budget(namedtuple("Budget", "node_cap time_cap",
@@ -100,12 +97,8 @@ def ex_exact(H, n, budget=None):
     searcher = EmbedSearcher(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
-    best = []  # the vectors of the largest set so far
-    host = {}  # canonical vector -> position of each chosen point
-    # vecs[i] is point i's vector; a node includes point i only after one
-    # included i - 1, so the list grows by at most one at a time
-    vecs = []
-    points = iter_canonical_vectors(n, f)
+    best = []  # the points of the largest set so far
+    host = {}  # point index -> position of each chosen point
     nodes = 0
     exhausted = False
     # The depth-first order on an explicit stack, since the depth reaches
@@ -128,19 +121,15 @@ def ex_exact(H, n, budget=None):
             continue
         if len(host) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
-        if i == len(vecs):
-            vecs.append(next(points))
-        v = vecs[i]
-        host[v] = k = len(host)
-        if searcher.find_through(host, (v, k)) is None:
+        host[i] = k = len(host)
+        if searcher.find_through(host, n, (i, k)) is None:
             stack += (-1, i + 1)
         else:
             host.popitem()
 
     # find is a plain search on a fresh host map, not the freeness tests'
     # incremental one, so the re-check stands apart from them
-    witness = Geometry(field=f, ambient=n,
-                       points=tuple(point_index(v, n, f) for v in best))
+    witness = Geometry(field=f, ambient=n, points=tuple(best))
     if searcher.find(witness) is not None:
         raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,

@@ -11,6 +11,8 @@ from conftest import rref_by_gauss_jordan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgeom.embed
+import qgeom.geometry
 from qgeom import (
     Budget,
     EmbeddingWitness,
@@ -562,15 +564,15 @@ def test_chain_is_within_the_stabilizer_chain(guest, whole):
         assert list(s.orbits) == true_chain
 
 
-def _host_map(order, n, f):
+def _host_map(order):
     # the map find builds and _search reads, with the points in the given
-    # order: canonical vector -> position
-    return {point_vec(i, n, f): k for k, i in enumerate(order)}
+    # order: point index -> position
+    return {i: k for k, i in enumerate(order)}
 
 
 def _core_witness(s, order, n, *args, **kw):
     # _search on order's host map, its raw hit made a witness as find does
-    hit = s._search(_host_map(order, n, s.f), n, *args, **kw)[0]
+    hit = s._search(_host_map(order), n, *args, **kw)[0]
     return None if hit is None else s._witness(hit, order)
 
 
@@ -624,7 +626,7 @@ def test_rule_keeps_the_first_witness_in_any_candidate_order(q):
                 host = Geometry(field=f, ambient=n, points=tuple(
                     i for i in range(total) if rng.random() < keep))
                 order = rng.sample(host.points, len(host))
-                hit = s._search(_host_map(order, n, f), n, s._rules)[0]
+                hit = s._search(_host_map(order), n, s._rules)[0]
                 w = s.find(host)
                 assert (hit is None) == (w is None), (order, guest.points)
                 if hit is not None:
@@ -643,7 +645,7 @@ def test_chain_cuts_deeper_levels():
     s = EmbedSearcher(make_pg(3, F2))
     host = make_g(5, F2, 2)
     level_0 = s._rule_table((s.orbit,) + (frozenset(),) * (s.m - 1))
-    own = _host_map(host.points, host.ambient, F2)
+    own = _host_map(host.points)
     hit, steps = s._search(own, host.ambient, s._rules)
     hit_0, steps_0 = s._search(own, host.ambient, level_0)
     assert hit is None and hit_0 is None
@@ -697,8 +699,8 @@ def test_anchored_find_matches_oracle(guest, transitive):
             outside = sorted(set(range(total)) - free)
             for p in rng.sample(outside, min(len(outside), 3)):
                 order = sorted(free | {p})
-                new = (point_vec(p, n, f), order.index(p))
-                hit = s.find_through(_host_map(order, n, f), new)
+                new = (p, order.index(p))
+                hit = s.find_through(_host_map(order), n, new)
                 expect = any(img <= free | {p} for img in images)
                 assert (hit is not None) == expect, (order, p)
                 w = None if hit is None else s._witness(hit, order)
@@ -772,9 +774,9 @@ def test_memo_holds_each_canonical_vector_met_once(q, monkeypatch):
     for s, (host, guest) in zip(made, runs):
         for v, c in s.memo.items():
             if any(v):
-                assert c == canonical_vec(v, f)
+                assert c == point_index(v, len(v), f)
             else:
-                assert c == v
+                assert c == -1
                 zeros += 1
         ranks = {host.ambient, guest.ambient}
         assert 0 < len(s.memo) <= sum(q ** n for n in ranks)
@@ -882,3 +884,62 @@ def test_large_symmetric_guests_build_their_searchers_quickly():
     assert out["PG(5,4)"][0] < 5 and out["PG(5,4)"][1] == 16496
     assert out["AG(10,2)"][0] < 2 and out["AG(10,2)"][1] == 22528
     assert out["contains"][0] < 5 and out["contains"][1] is True
+
+
+# PG(1, 9) in PG(6, 9), 597871 points, timed in a child process.  A search
+# that computed the vector of every host point took 1.7 s here.
+LARGE_HOST = """
+import json, time
+from qgeom import contains, field_make, make_pg, verify_witness
+f = field_make(9)
+host, guest = make_pg(7, f), make_pg(2, f)
+t = time.perf_counter()
+w = contains(host, guest)
+t = time.perf_counter() - t
+print(json.dumps([t, verify_witness(host, guest, w), w.map, w.point_map]))
+"""
+
+
+def test_containment_in_a_large_host_takes_under_a_second():
+    r = subprocess.run([sys.executable, "-c", LARGE_HOST],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    t, ok, matrix, point_map = json.loads(r.stdout)
+    assert t < 1 and ok is True
+    assert matrix == [[0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1]]
+    assert point_map == list(range(10))
+
+
+def test_find_computes_only_the_vectors_of_the_candidates_it_tries(
+        monkeypatch):
+    # a host point's vector is computed the first time the search tries
+    # that point, so one find on a large host calls point_vec at most once
+    # per candidate tried, besides once per guest point, and never twice
+    # for one point
+    calls = []
+
+    def counted(real):
+        def point_vec(i, n, f):
+            calls.append((i, n))
+            return real(i, n, f)
+        return point_vec
+
+    for module in (qgeom.geometry, qgeom.embed):
+        monkeypatch.setattr(module, "point_vec", counted(module.point_vec))
+    tried = [0]
+    search = EmbedSearcher._search
+
+    def spy(self, *args, **kw):
+        hit, steps = search(self, *args, **kw)
+        tried[0] += steps
+        return hit, steps
+
+    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    guest, host = make_pg(3, F3), make_pg(7, F3)
+    s = EmbedSearcher(guest)
+    assert len(calls) == len(guest)
+    w, made = s.find(host), len(calls)
+    assert verify_witness(host, guest, w)
+    assert len(set(calls[:made])) == made
+    assert made <= tried[0] + len(guest)
+    assert made < len(host) // 10

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from conftest import brute_force_ex, sparse_flat_by_scan, subset_geometry
 
+import qgeom.embed
 import qgeom.extremal
 import qgeom.geometry
 from qgeom import (
@@ -30,7 +31,6 @@ from qgeom import (
     make_pg,
     pg_size,
     point_index,
-    point_vec,
 )
 from qgeom.embed import EmbedSearcher
 from qgeom.extremal import density_rows_to_csv
@@ -189,13 +189,12 @@ def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     calls = []
     through = EmbedSearcher.find_through
 
-    def spy(self, host, new):
-        f = H.field
-        p = max(point_index(v, n, f) for v in host)
+    def spy(self, host, ambient, new):
+        p = max(host)
         last = list(host.items())[-1]
-        calls.append(new == last == (point_vec(p, n, f), len(host) - 1)
+        calls.append(ambient == n and new == last == (p, len(host) - 1)
                      and not self._anchored_rules[0][0])
-        return through(self, host, new)
+        return through(self, host, ambient, new)
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
@@ -223,9 +222,9 @@ def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
     hits = []
     through = EmbedSearcher.find_through
 
-    def spy(self, host, new):
+    def spy(self, host, ambient, new):
         assert self._anchored_rules is None
-        hit = through(self, host, new)
+        hit = through(self, host, ambient, new)
         if hit is not None:
             hits.append(new[1] in hit[1])
         return hit
@@ -249,18 +248,18 @@ def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
     # at every freeness test the map ex_exact hands the search core is the
     # one find would build for the chosen points plus the new one, in index
     # order, and the new point is the last of them
-    f = H.field
     calls = []
     through = EmbedSearcher.find_through
+    total = pg_size(n, H.field)
 
-    def spy(self, host, new):
-        assert len(new[0]) == n
-        order = [point_index(v, n, f) for v in host]
+    def spy(self, host, ambient, new):
+        assert ambient == n
+        order = list(host)
         assert order == sorted(set(order))
-        assert list(host.items()) == [(point_vec(i, n, f), k)
-                                      for k, i in enumerate(order)]
-        calls.append(new == (point_vec(order[-1], n, f), len(order) - 1))
-        return through(self, host, new)
+        assert 0 <= order[0] and order[-1] < total
+        assert list(host.items()) == [(i, k) for k, i in enumerate(order)]
+        calls.append(new == (order[-1], len(order) - 1))
+        return through(self, host, ambient, new)
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n, budget)
@@ -282,11 +281,11 @@ def test_freeness_tests_build_no_witness(monkeypatch):
 
 
 def test_ex_exact_computes_one_vector_per_node(monkeypatch):
-    # no node calls point_vec: each point's vector is read once from
-    # iter_canonical_vectors, so at most one per point index the freeness
-    # tests reach, whatever the size of the chosen set.  Only the
-    # searcher's set-up and the final re-check (a map of the witness, with
-    # no second searcher) call point_vec, both through Geometry.point_vecs.
+    # no node recomputes a vector: the searcher computes each point's
+    # vector once, the first time a freeness test tries it, so at most one
+    # point_vec per point index the freeness tests reach, whatever the
+    # size of the chosen set.  Only the searcher's set-up calls point_vec
+    # through Geometry.point_vecs; the final re-check reuses the vectors.
     calls = [0]
     real = qgeom.geometry.point_vec
 
@@ -294,13 +293,12 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
         calls[0] += 1
         return real(*args)
 
-    yielded = [0]
-    real_iter = qgeom.extremal.iter_canonical_vectors
+    tried = []
+    real_vec = qgeom.embed.point_vec
 
-    def counted_iter(*args):
-        for v in real_iter(*args):
-            yielded[0] += 1
-            yield v
+    def counted_vec(i, n, f):
+        tried.append((i, n))
+        return real_vec(i, n, f)
 
     reached = [-1]
     search = EmbedSearcher._search
@@ -308,20 +306,21 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
     def spy(self, host, host_ambient, *rest, **kw):
         if host_ambient == 5:  # not a self-search of H into itself
             *_, last = host
-            reached[0] = max(reached[0], point_index(last, 5, F2))
+            reached[0] = max(reached[0], last)
         return search(self, host, host_ambient, *rest, **kw)
 
     monkeypatch.setattr(qgeom.geometry, "point_vec", counted)
-    monkeypatch.setattr(qgeom.extremal, "iter_canonical_vectors",
-                        counted_iter)
+    monkeypatch.setattr(qgeom.embed, "point_vec", counted_vec)
     monkeypatch.setattr(EmbedSearcher, "_search", spy)
     H = make_pg(2, F2)
     EmbedSearcher(H)
     set_up, calls[0] = calls[0], 0
     res = ex_exact(H, 5)
     assert (res.value, res.status, res.nodes) == (16, "exact", 23006)
-    assert calls[0] <= set_up + res.value
-    assert 0 < yielded[0] <= reached[0] + 1
+    assert calls[0] <= set_up
+    assert len(set(tried)) == len(tried)
+    assert all(n == 5 and i <= reached[0] for i, n in tried)
+    assert 0 < len(tried) <= reached[0] + 1
 
 
 def test_searches_leave_nothing_for_the_cyclic_collector():
