@@ -10,12 +10,10 @@ AG(m-1, q) and G(m-1, q, m) is PG(m-1, q) itself.
 All densities and ratios derived from these sets are exact rationals.
 """
 
-from itertools import combinations, product
-
 from .errors import EmptyGeometry
 from .field import _Value, field_make
-from .projective import (Flat, pg_size, point_index, point_vec, reduce_row,
-                         rref, span)
+from .projective import (flats_meeting, pg_size, point_index, point_vec, rref,
+                         span)
 
 
 class Geometry(_Value):
@@ -130,63 +128,14 @@ def first_flat(vecs, n, f, k, r):
     """The first rank-k flat of PG(n-1, q), in iter_flats order, meeting the
     points with canonical vectors vecs in rank at most r; or None.
 
-    Pivots are fixed first, in combinations order, then rows are picked
-    from the first down, free entries in product order.  Points are kept
-    as residues, reduced against the rows so far and scaled to a leading
-    1, and grouped by residue: a row v adds group v to the meet.  The meet
-    only grows, so a branch is cut once its rank passes r; a pivot set is
-    skipped when its tail pivots[1:] carries no answer.
-
     The counting cut lives here: such a flat has pg_size(k) - pg_size(r)
     points or more off vecs, so None comes at once when the space has
-    fewer.  A space of more than MAX_LISTED_POINTS points raises ValueError.
+    fewer.  Otherwise it is the first flat that flats_meeting yields.  A
+    space of more than MAX_LISTED_POINTS points raises ValueError.
     """
     if _listable_size(n, f) - len(vecs) < pg_size(k, f) - pg_size(r, f):
         return None
-    known = {(): ()}
-    for pivots in combinations(range(n), k):
-        rows = _first_rows(pivots, vecs, known, n, f, r)
-        if rows is not None:
-            return Flat(basis=rows, n=n, field=f)
-    return None
-
-
-def _first_rows(pivots, vecs, known, n, f, r):
-    """The first rows with exactly these pivots, or None, kept in known."""
-    if pivots not in known:
-        known[pivots] = None
-        # the rows after the first span a flat with pivots pivots[1:]
-        if _first_rows(pivots[1:], vecs, known, n, f, r) is not None:
-            groups = {v: (v,) for v in vecs if v.index(1) in pivots}
-            known[pivots] = _rows(groups, (), pivots, n, f, r)
-    return known[pivots]
-
-
-def _rows(groups, meet, pivots, n, f, r):
-    """first_flat's rows from pivots[0] on, given the groups and the meet."""
-    if not pivots:
-        return ()
-    p, later = pivots[0], pivots[1:]
-    cols = [range(f.q) if j > p and j not in later else (int(j == p),)
-            for j in range(n)]
-    for v in product(*cols):
-        grown = meet
-        for h in groups.get(v, ()):
-            new = reduce_row(h, grown, f)
-            grown += () if new is None else (new,)
-            if len(grown) > r:
-                break
-        else:
-            nxt = {}
-            for w, hs in groups.items():
-                if w[p] and w != v:
-                    w = reduce_row(w, ((p, v),), f)[1]
-                if w.index(1) in later:
-                    nxt[w] = nxt.get(w, ()) + hs
-            rows = _rows(nxt, grown, later, n, f, r)
-            if rows is not None:
-                return (v,) + rows
-    return None
+    return next(flats_meeting(vecs, n, f, k, r), None)
 
 
 def critical_exponent(H):
@@ -194,9 +143,11 @@ def critical_exponent(H):
 
     In coordinates of the span, c = m - k for the largest rank k at which
     first_flat finds a flat meeting H in rank 0, trying the ranks from the
-    top down; rank 0 always succeeds.  first_flat's counting cut skips a
-    rank with too little room off H, and a span of more than
-    MAX_LISTED_POINTS points raises ValueError there.
+    top down; rank 0 always succeeds.  Each try is find_sparse_flat's one
+    flat search, flats_meeting, which builds each flat from its last row
+    up, so a partial flat is searched once for all the pivots above it.
+    first_flat's counting cut skips a rank with too little room off H, and
+    a span of more than MAX_LISTED_POINTS points raises ValueError there.
     """
     if not H.points:
         raise EmptyGeometry("critical exponent of the empty geometry")

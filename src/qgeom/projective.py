@@ -13,11 +13,11 @@ per subspace, so flats compare and hash structurally.  Rank here always
 means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
 
 reduce_row is the one elimination step over GF(q): rref, the embedding
-search and the flat search of first_flat all reduce vectors through it.
+search and the flat search of flats_meeting all reduce vectors through it.
 """
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import product
 from operator import getitem
 
 from .errors import ZeroVector
@@ -76,20 +76,34 @@ def point_index(v, n, f):
 
 
 def point_vec(i, n, f):
-    """Canonical vector of point i of PG(n-1, q); inverse of point_index."""
+    """Canonical vector of point i of PG(n-1, q); inverse of point_index.
+
+    The tail after the leading 1 has the length t with pg_size(t) <= i <
+    pg_size(t + 1), that is q^t <= i(q - 1) + 1 < q^(t + 1): an exact
+    integer logarithm, found by bisection between bounds from bit lengths.
+    """
     if not 0 <= i < pg_size(n, f):
         raise ValueError("point index %d out of range for rank %d over GF(%d)"
                          % (i, n, f.q))
-    q = f.q
-    t, block = 0, 1  # tail length, and the q^t points with that tail length
-    while i >= block:
-        i -= block
-        t += 1
-        block *= q
+    q, x = f.q, i * (f.q - 1) + 1
+    b, qb = x.bit_length() - 1, q.bit_length()
+    t, hi = b // qb, b // (qb - 1) + 1  # q^t <= 2^b <= x < 2^(b+1) <= q^hi
+    while hi - t > 1:
+        mid = (t + hi) // 2
+        t, hi = (mid, hi) if q ** mid <= x else (t, mid)
+    return (0,) * (n - 1 - t) + (1,) + _digits(i - pg_size(t, f), q, t)
+
+
+def _digits(i, q, t):
+    """The t base-q digits of i < q^t, most significant first.  A long i
+    is split in halves: about two divisions of i's size, not t of them."""
+    if t > 64:
+        hi, lo = divmod(i, q ** (t // 2))
+        return _digits(hi, q, t - t // 2) + _digits(lo, q, t // 2)
     tail = [0] * t
     for k in range(t - 1, -1, -1):
         i, tail[k] = divmod(i, q)
-    return (0,) * (n - 1 - t) + (1,) + tuple(tail)
+    return tuple(tail)
 
 
 def combine(coeffs, rows, f):
@@ -191,24 +205,48 @@ def flat_points(F):
 
 
 def iter_flats(n, f, k):
-    """Yield every rank-k flat of PG(n-1, q) exactly once.
+    """Yield every rank-k flat of PG(n-1, q) exactly once, in the order of
+    the flat search: flats_meeting with no points to meet."""
+    return flats_meeting((), n, f, k, 0)
 
-    Flats are generated directly as RREF matrices: choose the pivot
-    columns, then run over all assignments of the free entries (row i may
-    be nonzero only right of its pivot and outside later pivot columns).
+
+def flats_meeting(vecs, n, f, k, r):
+    """Yield, in iter_flats order, the rank-k flats meeting the points with
+    canonical vectors vecs in rank at most r.
+
+    Each flat is built as its RREF basis from the last row up.  A new row
+    takes a pivot p left of the pivots placed, tried from the right, with
+    room left of p for the rows still to come; it has zeros left of p and
+    in the placed pivot columns, and its free entries run in product
+    order.  The placed rows are zero at p already, so every flat is
+    reached once, and its last rows do not depend on the pivots above.
+
+    Points are kept as residues, reduced against the rows so far and
+    scaled to a leading 1, and grouped by residue: a row v adds group v to
+    the meet.  A residue whose leading 1 is not left of the newest pivot
+    is dropped, as no row still to come can reduce it.  The meet only
+    grows, so a branch is cut once its rank passes r.
     """
-    q = f.q
-    if k == 0:
-        yield Flat(basis=(), n=n, field=f)
-        return
-    for pivots in combinations(range(n), k):
-        pivset = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivset]
-        for assignment in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, j), val in zip(free, assignment):
-                rows[i][j] = val
-            yield Flat(basis=tuple(tuple(r) for r in rows), n=n, field=f)
+    def grow(groups, meet, rows, pivots):
+        if len(rows) == k:
+            yield Flat(basis=rows, n=n, field=f)
+            return
+        for p in range(min(pivots, default=n) - 1, k - len(rows) - 2, -1):
+            cols = [range(f.q) if j > p and j not in pivots else
+                    (int(j == p),) for j in range(n)]
+            for v in product(*cols):
+                grown = meet
+                for h in groups.get(v, ()):
+                    new = reduce_row(h, grown, f)
+                    grown += () if new is None else (new,)
+                    if len(grown) > r:
+                        break
+                else:
+                    nxt = {}
+                    for w, hs in groups.items():
+                        if w.index(1) < p:
+                            w = reduce_row(w, ((p, v),), f)[1] if w[p] else w
+                            nxt[w] = nxt.get(w, ()) + hs
+                    yield from grow(nxt, grown, (v,) + rows, pivots + (p,))
+
+    return grow({v: (v,) for v in vecs}, (), (), ())

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -128,6 +129,27 @@ def test_critical_exponent_matches_the_flat_scan_on_random_subsets(q, n):
             H = subset_geometry(f, n, rng.sample(range(total), size))
             assert critical_exponent(H) == \
                 critical_exponent_by_flat_scan(H), H.points
+
+
+# a random half of PG(9, 2), c = 6: most of the time goes to proving that
+# no rank-5 flat misses H, a search of every partial flat that does
+RANDOM_HALF = """
+import json, random, time
+from qgeom import Geometry, critical_exponent, field_make
+H = Geometry(field=field_make(2), ambient=10,
+             points=tuple(random.Random(1002).sample(range(1023), 511)))
+t = time.perf_counter()
+c = critical_exponent(H)
+print(json.dumps([time.perf_counter() - t, c]))
+"""
+
+
+def test_critical_exponent_of_a_random_half_of_pg92_within_2_s():
+    r = subprocess.run([sys.executable, "-c", RANDOM_HALF],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    t, c = json.loads(r.stdout)
+    assert c == 6 and t < 2
 
 
 def test_critical_exponent_rejects_empty():

@@ -1,8 +1,11 @@
-from itertools import combinations
+import random
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import rref_by_gauss_jordan
 
 from qgeom import (
     ZeroVector,
@@ -166,3 +169,54 @@ def test_flat_meets_corank_flat_in_expected_rank(q):
             for m in ranks:
                 for F in iter_flats(r, f, m):
                     assert flat_intersect(F, M).rank >= m - c + 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_point_vec_round_trips_at_every_tail_length(q):
+    # the first, last and a random point of each block of one tail length,
+    # up to tails long enough to split the digits in halves more than once
+    f = field_make(q)
+    rng = random.Random(q)
+    for n in (1, 2, 3, 7, 65, 66, 300):
+        for t in range(n):
+            start, size = pg_size(t, f), q ** t
+            for i in (start, start + size - 1, start + rng.randrange(size)):
+                v = point_vec(i, n, f)
+                assert len(v) == n and v.index(1) == n - 1 - t
+                assert point_index(v, n, f) == i
+
+
+def test_point_vec_at_rank_100000_takes_under_a_tenth_of_a_second():
+    # the last point and a random one, both with 99999-digit tails; the
+    # best of three runs, so that a load spike on the machine does not count
+    n = 100_000
+    last, i = pg_size(n, F2) - 1, random.Random(1).randrange(pg_size(n, F2))
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        vs = [point_vec(last, n, F2), point_vec(i, n, F2)]
+        times.append(time.perf_counter() - t)
+    assert vs[0] == (1,) * n and sum(vs[1]) > n // 3
+    assert min(times) < 0.1
+
+
+def _spans_of_point_subsets(n, f, k):
+    """Every rank-k flat, as the Gauss-Jordan RREF of k points spanning it."""
+    points = [v for v in product(range(f.q), repeat=n)
+              if next(filter(None, v), 0) == 1]
+    spans = set()
+    for subset in combinations(points, k):
+        rows, pivots, _ = rref_by_gauss_jordan(subset, n, f)
+        if len(pivots) == k:
+            spans.add(rows)
+    return spans
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 3), (2, 4), (2, 5), (3, 3),
+                                  (3, 4), (4, 3), (5, 3)])
+def test_iter_flats_yields_each_span_of_k_points_once(q, n):
+    f = field_make(q)
+    for k in range(min(n, 3) + 1):
+        bases = [F.basis for F in iter_flats(n, f, k)]
+        assert len(set(bases)) == len(bases), (q, n, k)
+        assert set(bases) == _spans_of_point_subsets(n, f, k), (q, n, k)
