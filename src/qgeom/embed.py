@@ -18,8 +18,9 @@ stay inside the searcher, each computed once, when first needed.
 
 Containment is defined up to projective equivalence, so the search need
 not visit embeddings that differ only by an automorphism of H.  Let b_l be
-basis point l (b0 is guest point 0) and O_l its orbit under a group K_l of
-automorphisms of H that fix b_0..b_(l-1) as vectors, with K_0 >= K_1 >= ...
+basis point l (b0 is guest point 0, except as the freeness test below
+sets it) and O_l its orbit under a group K_l of automorphisms of H that
+fix b_0..b_(l-1) as vectors, with K_0 >= K_1 >= ...
 find keeps only embeddings in which, at every level l, b_l's image comes
 first in the candidate order, whatever that order is, among the images of
 O_l.  This is sound for any such subgroups: given an embedding phi, pick
@@ -38,12 +39,9 @@ by the automorphisms that self-searches of H into H find with
 b_0..b_(l-1) pinned to themselves, all levels within one budget of
 |H| * rank * q candidate steps (see _chain).
 
-ex_exact's freeness test, find_through, asks for a copy of H in a host
-whose points other than the newest are H-free, so every copy goes through
-the new point.  When the found O_0 is the whole guest, b0 is pinned to the
-new point and the level-0 rule is off; any other guest gets find's plain
-search, whose embeddings all go through the new point by that
-precondition.
+ex_exact's freeness test asks for a copy of H through a new host point:
+find_through pins b0 to it, for one searcher per orbit representative
+(see extremal._through_searchers).
 
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
@@ -87,20 +85,23 @@ class EmbedSearcher:
     which is what the extremal branch-and-bound needs.
     """
 
-    def __init__(self, H):
+    def __init__(self, H, _b0=0):
         self.f = H.field
         f = self.f
         vecs = H.point_vecs()
         self.size = len(vecs)
 
+        # the basis starts at guest position _b0, which is 0 except in the
+        # further searchers of extremal._through_searchers, and takes the
+        # rest in order
         echelon, basis = [], []
-        for j, v in enumerate(vecs):
-            new = reduce_row(v, echelon, f)
+        for j in sorted(range(self.size), key=lambda j: j != _b0):
+            new = reduce_row(vecs[j], echelon, f)
             if new is not None:
                 echelon.append(new)
                 basis.append(j)
         m = self.m = len(basis)
-        self.basis = basis  # guest position of each basis point; b0 is 0
+        self.basis = basis  # guest position of each basis point
 
         # R = T @ B with R the canonical span basis, read off the RREF of
         # the rows [b_j | e_j]; coords of v in B are (v at pivots) @ T
@@ -133,15 +134,13 @@ class EmbedSearcher:
         self.levels = levels
 
         # Rule tables for the three uses: the self-searches (no rule), find
-        # (every level) and, only for a guest whose found O_0 is whole,
-        # find_through with b0 pinned (every level below 0).
+        # (every level) and find_through with b0 pinned (every level below 0).
         off = frozenset()
         self._no_rules = self._rule_table((off,) * self.m)
         self.orbits, self.symmetries, self.orbit_steps = self._chain(H, vecs)
         self.orbit = self.orbits[0] if self.m else off
         self._rules = self._rule_table(self.orbits)
-        self._anchored_rules = self._rule_table((off,) + self.orbits[1:]) \
-            if len(self.orbit) == self.size else None
+        self._anchored_rules = self._rule_table((off,) + self.orbits[1:])
 
     def _chain(self, H, vecs):
         """Orbits O_l of the basis points down a chain of stabilizers.
@@ -272,22 +271,21 @@ class EmbedSearcher:
         return None if hit is None else self._witness(hit, G.points)
 
     def find_through(self, host, n, new):
-        """ex_exact's freeness test: is there a copy of H through new?
+        """Is there a copy of H through new that maps b0 to it?
 
         host and n, its ambient rank, are as _search takes them; new is
-        the (point index, position) pair of a host point, and the host
-        without it must be H-free, so every embedding goes through new.
-        Returns _search's first raw hit, or None.  The guest must have a
-        point.
+        the (point index, position) pair of a host point.  Returns
+        _search's first raw hit with b0 pinned to new, or None.  The guest
+        must have a point.
 
-        A guest whose found O_0 is all of its points has b0 pinned to new
-        and the level-0 rule off: if phi(g) is new, pick sigma in K_0 with
-        sigma(b0) = g; phi o sigma has the same image set and maps b0 to
-        new.  The deeper levels keep their rules, since K_1, K_2, ... fix
-        b0 as a vector.  Any other guest gets find's plain search.
+        b0 is pinned to new and the level-0 rule is off.  This finds every
+        copy through new in which some point of O_0 maps to new: if phi(g)
+        is new for g in O_0, pick sigma in K_0 with sigma(b0) = g; phi o
+        sigma has the same image set and maps b0 to new.  The deeper levels
+        keep their rules, since K_1, K_2, ... fix b0 as a vector.  So the
+        searchers of extremal._through_searchers, whose orbits O_0 cover
+        the guest, find every copy through new between them.
         """
-        if self._anchored_rules is None:
-            return self._search(host, n, self._rules)[0]
         return self._search(host, n, self._anchored_rules, (new,))[0]
 
     def _search(self, host, host_ambient, rules, top=(), cap=None):

@@ -4,11 +4,10 @@ ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
 |current set| + points still undecided.  The current set is H-free by
 invariant, so every copy of H in the set plus p goes through p: including
-p is checked by one freeness test, EmbedSearcher.find_through, into the
-set plus p.  When the searcher finds the orbit O_0 of H's first point to
-be all of H, the test pins that point's image to p; otherwise it is
-find's plain search, and the invariant makes every embedding it finds go
-through p.
+p is checked by one freeness test into the set plus p: the find_through
+of each searcher of _through_searchers in turn, each pinning its own b0
+to p, up to the first hit.  A point-transitive H has one searcher, so
+one pinned search per node.
 
 The search keeps the current set as one host map, from the index of each
 chosen point to its position in the map, and hands it to the search core
@@ -80,6 +79,18 @@ def _checked(budget):
     return budget
 
 
+def _through_searchers(H):
+    """ex_exact's searchers: b0 at guest point 0, then at each guest point
+    outside the orbits O_0 found so far.  Their O_0 cover H, so between
+    them their find_through calls find every copy of H through a host
+    point (see EmbedSearcher.find_through)."""
+    searchers = [EmbedSearcher(H)]
+    for g in range(len(H.points)):
+        if not any(g in s.orbit for s in searchers):
+            searchers.append(EmbedSearcher(H, _b0=g))
+    return searchers
+
+
 def ex_exact(H, n, budget=None):
     """Largest H-free point set in PG(n-1, q), with a witness.
 
@@ -94,7 +105,7 @@ def ex_exact(H, n, budget=None):
     if not H.points:
         raise EmptyGeometry("ex_exact of the empty geometry")
     budget = _checked(budget)
-    searcher = EmbedSearcher(H)
+    searchers = _through_searchers(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []  # the points of the largest set so far
@@ -122,15 +133,17 @@ def ex_exact(H, n, budget=None):
         if len(host) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
         host[i] = k = len(host)
-        if searcher.find_through(host, n, (i, k)) is None:
-            stack += (-1, i + 1)
+        for s in searchers:
+            if s.find_through(host, n, (i, k)) is not None:
+                host.popitem()
+                break
         else:
-            host.popitem()
+            stack += (-1, i + 1)
 
     # find is a plain search on a fresh host map, not the freeness tests'
     # incremental one, so the re-check stands apart from them
     witness = Geometry(field=f, ambient=n, points=tuple(best))
-    if searcher.find(witness) is not None:
+    if searchers[0].find(witness) is not None:
         raise AssertionError("witness failed independent re-validation")
     return ExtremalResult(value=len(best), witness=witness,
                           status="lower-bound" if exhausted else "exact",

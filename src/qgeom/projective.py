@@ -69,10 +69,7 @@ def point_index(v, n, f):
                          % (len(cv), n))
     lead = cv.index(1)
     q = f.q
-    tail = 0
-    for x in cv[lead + 1:]:
-        tail = tail * q + x
-    return (q ** (n - 1 - lead) - 1) // (q - 1) + tail
+    return (q ** (n - 1 - lead) - 1) // (q - 1) + _number(cv[lead + 1:], q)
 
 
 def point_vec(i, n, f):
@@ -92,6 +89,22 @@ def point_vec(i, n, f):
         mid = (t + hi) // 2
         t, hi = (mid, hi) if q ** mid <= x else (t, mid)
     return (0,) * (n - 1 - t) + (1,) + _digits(i - pg_size(t, f), q, t)
+
+
+def _number(digits, q):
+    """The integer whose base-q digits, most significant first, are digits;
+    the inverse of _digits.  A long tail is read in halves, as _digits
+    writes it: about two multiplications of the result's size, not one per
+    digit."""
+    t = len(digits)
+    if t > 64:
+        hi = t - t // 2
+        return _number(digits[:hi], q) * q ** (t // 2) + \
+            _number(digits[hi:], q)
+    i = 0
+    for x in digits:
+        i = i * q + x
+    return i
 
 
 def _digits(i, q, t):

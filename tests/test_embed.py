@@ -31,6 +31,7 @@ from qgeom import (
     verify_witness,
 )
 from qgeom.embed import EmbedSearcher
+from qgeom.extremal import _through_searchers
 from qgeom.geometry import span_coordinates
 from qgeom.projective import (canonical_vec, iter_flats, point_index,
                                point_vec, rref)
@@ -652,8 +653,9 @@ def test_chain_cuts_deeper_levels():
     assert steps < steps_0
 
 
-# (guest, whether the freeness test fixes b0's image to the new point):
-# point-transitive guests do, the others run find's plain search
+# (guest, whether it is point-transitive): a point-transitive guest's
+# freeness tests get one searcher, pinned at guest point 0, and any other
+# guest's one per orbit representative
 ANCHOR_GUESTS = [
     (make_pg(2, F3), True), (make_ag(2, F3), True), (make_pg(3, F2), True),
     (make_ag(3, F3), True), (make_g(3, F2, 2), True),
@@ -679,15 +681,23 @@ def _random_free_set(images, total, rng):
 
 @pytest.mark.parametrize("guest, transitive", ANCHOR_GUESTS)
 def test_anchored_find_matches_oracle(guest, transitive):
-    # find_through on an H-free set plus a point p finds an embedding
-    # exactly when some copy of the guest in the host goes through p, and
-    # it is the first embedding in candidate order: the first with b0 at p
-    # when b0 is pinned, else find's
+    # the freeness test on an H-free set plus a point p, find_through of
+    # each searcher of _through_searchers, finds an embedding exactly when
+    # some copy of the guest in the host goes through p, and each
+    # searcher's hit is its first embedding in candidate order with its b0
+    # at p.  The first searcher pins guest point 0; each further one a
+    # point outside the orbits found before it, and the orbits cover H.
     f = guest.field
     m = geometry_rank(guest)
-    s = EmbedSearcher(guest)
+    searchers = _through_searchers(guest)
+    s = searchers[0]
+    assert s.basis[0] == 0
     assert (len(s.orbit) == len(guest)) == transitive
-    assert (s._anchored_rules is not None) == transitive
+    assert (len(searchers) == 1) == transitive
+    for k, r in enumerate(searchers):
+        assert r.basis[0] in r.orbit
+        assert not any(r.basis[0] in t.orbit for t in searchers[:k])
+    assert set().union(*(r.orbit for r in searchers)) == set(range(len(guest)))
     rng = random.Random(7 * len(guest) + f.q + m)
     seen = set()
     for n in (3, 4) if m == 2 or f.q == 2 else (3,):
@@ -700,20 +710,20 @@ def test_anchored_find_matches_oracle(guest, transitive):
             for p in rng.sample(outside, min(len(outside), 3)):
                 order = sorted(free | {p})
                 new = (p, order.index(p))
-                hit = s.find_through(_host_map(order), n, new)
+                ws = []
+                for r in searchers:
+                    hit = r.find_through(_host_map(order), n, new)
+                    w = None if hit is None else r._witness(hit, order)
+                    assert w == _core_witness(r, order, n, r._no_rules, (new,))
+                    ws.append(w)
                 expect = any(img <= free | {p} for img in images)
-                assert (hit is not None) == expect, (order, p)
-                w = None if hit is None else s._witness(hit, order)
+                assert any(w is not None for w in ws) == expect, (order, p)
                 host = Geometry(field=f, ambient=n, points=tuple(order))
-                if transitive:
-                    first = _core_witness(s, order, n, s._no_rules, (new,))
-                else:
-                    first = s.find(host)
-                assert w == first
-                if w is not None:
-                    assert p in w.point_map
-                    assert verify_witness(host, guest, w)
-                seen.add(w is not None)
+                for r, w in zip(searchers, ws):
+                    if w is not None:
+                        assert w.point_map[r.basis[0]] == p
+                        assert verify_witness(host, guest, w)
+                seen.add(expect)
     assert seen == {True, False}
 
 

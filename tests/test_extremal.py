@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import subprocess
 import sys
@@ -215,30 +216,63 @@ TRIANGLE_AND_POINT = _points(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
 ])
 def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
         H, n, monkeypatch):
-    # H is not point-transitive, so each freeness test is find's plain
-    # search with no anchor; the set without the new point is H-free, so
-    # every hit goes through the new point all the same
+    # H is not point-transitive, so no one guest point pinned to the new
+    # point finds every copy: each freeness test runs one pinned search per
+    # orbit representative.  Every search pins its searcher's b0 to the new
+    # point with the level-0 rule off, every hit maps b0 to it, and each
+    # hit is the first embedding with b0 there, the one the search without
+    # any rule returns
     expect = brute_force_ex(H, n)
-    hits = []
+    hits, pinned = [], set()
     through = EmbedSearcher.find_through
 
     def spy(self, host, ambient, new):
-        assert self._anchored_rules is None
+        assert ambient == n and new == list(host.items())[-1]
+        assert not self._anchored_rules[0][0]
+        pinned.add(self.basis[0])
         hit = through(self, host, ambient, new)
+        first = self._search(host, ambient, self._no_rules, (new,))[0]
+        assert hit == first
         if hit is not None:
-            hits.append(new[1] in hit[1])
+            hits.append(hit[1][self.basis[0]] == new[1])
         return hit
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
     assert (res.value, res.status) == (expect, "exact")
     assert len(hits) > 1 and all(hits)
+    assert len(pinned) > 1
+    assert pinned == {s.basis[0] for s in qgeom.extremal._through_searchers(H)}
+
+
+# ex(triangle and point; 5) in a new process: the guest is not
+# point-transitive, so each of the 23035 nodes' freeness tests runs one
+# pinned search per orbit representative
+TRIANGLE_AND_POINT_5 = """
+import json, time
+from qgeom import Geometry, ex_exact, field_make, point_index
+f = field_make(2)
+vecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]
+H = Geometry(field=f, ambient=3,
+             points=tuple(point_index(v, 3, f) for v in vecs))
+t = time.perf_counter()
+r = ex_exact(H, 5)
+print(json.dumps([time.perf_counter() - t, r.value, r.status, r.nodes]))
+"""
+
+
+def test_ex_of_triangle_and_point_at_rank_5_within_3_s():
+    r = subprocess.run([sys.executable, "-c", TRIANGLE_AND_POINT_5],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    t, *answer = json.loads(r.stdout)
+    assert answer == [16, "exact", 23035] and t < 3
 
 
 @pytest.mark.parametrize("H, n, budget, expect", [
     # point-transitive: each freeness test pins b0 to the new point
     (make_pg(2, F2), 4, None, (8, "exact", 178)),
-    # not point-transitive: each freeness test is find's plain search
+    # not point-transitive: one pinned search per orbit representative
     (LINE_AND_POINT, 4, None, None),
     # stopped by the node cap with part of the stack still to unwind
     (make_pg(2, F2), 5, Budget(node_cap=200), (None, "lower-bound", 200)),

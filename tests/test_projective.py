@@ -200,6 +200,21 @@ def test_point_vec_at_rank_100000_takes_under_a_tenth_of_a_second():
     assert min(times) < 0.1
 
 
+def test_point_index_at_rank_100000_takes_under_a_tenth_of_a_second():
+    # the same two points, their 99999-digit tails read back; the best of
+    # three runs, as above
+    n = 100_000
+    last, i = pg_size(n, F2) - 1, random.Random(1).randrange(pg_size(n, F2))
+    vs = [point_vec(last, n, F2), point_vec(i, n, F2)]
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        got = [point_index(v, n, F2) for v in vs]
+        times.append(time.perf_counter() - t)
+    assert got == [last, i]
+    assert min(times) < 0.1
+
+
 def _spans_of_point_subsets(n, f, k):
     """Every rank-k flat, as the Gauss-Jordan RREF of k points spanning it."""
     points = [v for v in product(range(f.q), repeat=n)
