@@ -39,9 +39,9 @@ by the automorphisms that self-searches of H into H find with
 b_0..b_(l-1) pinned to themselves, all levels within one budget of
 |H| * rank * q candidate steps (see _chain).
 
-ex_exact's freeness test asks for a copy of H through a new host point:
-find_through pins b0 to it, for one searcher per orbit representative
-(see extremal._through_searchers).
+ex_exact's freeness test asks for a copy of H through a new point p:
+find_through pins b0 to p ahead of the host, under find's own rule, for
+one searcher per orbit representative (see extremal._through_searchers).
 
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
@@ -125,22 +125,13 @@ class EmbedSearcher:
         self.memo = {}
         self.vecs = {H.ambient: dict(zip(H.points, vecs))}
 
-        # Guest point j becomes checkable once basis images 1..level(j) are
-        # fixed; grouping by that level front-loads the pruning.
-        levels = [[] for _ in range(self.m + 1)]
-        for j, a in enumerate(coords):
-            lvl = max(i for i in range(self.m) if a[i]) + 1
-            levels[lvl].append(j)
-        self.levels = levels
-
-        # Rule tables for the three uses: the self-searches (no rule), find
-        # (every level) and find_through with b0 pinned (every level below 0).
+        # Rule tables for the two uses: the self-searches (no rule), and
+        # find and find_through (every level).
         off = frozenset()
         self._no_rules = self._rule_table((off,) * self.m)
         self.orbits, self.symmetries, self.orbit_steps = self._chain(H, vecs)
         self.orbit = self.orbits[0] if self.m else off
         self._rules = self._rule_table(self.orbits)
-        self._anchored_rules = self._rule_table((off,) + self.orbits[1:])
 
     def _chain(self, H, vecs):
         """Orbits O_l of the basis points down a chain of stabilizers.
@@ -234,20 +225,26 @@ class EmbedSearcher:
         already maps above their basis points.  Checking fewer bounds can
         only keep more embeddings, so this is sound in any case.  A bound is
         given as a slot of _search's images list: the basis point that sets
-        it, or slot |H|, which holds -1 and bounds nothing.  Returns the
-        orbits, the slot bounding b_i's candidates at each level i, and at
-        each level the guest points checked there, each with its slot.
+        it, or slot |H|, which holds -1 and bounds nothing.  Guest point j
+        is checked at level i, the last basis coordinate nonzero in j's
+        coordinates, as soon as the images of b_0..b_i fix its image;
+        grouping by that level front-loads the pruning.  Returns the slot
+        bounding b_i's candidates at each level i, and at each level the
+        guest points checked there, each with its slot.
         """
-        basis = self.basis
+        basis, m = self.basis, self.m
 
         def slot(j, deepest):
             return next((basis[k] for k in range(deepest, -1, -1)
                          if j in orbits[k]), self.size)
 
+        levels = [[] for _ in range(m)]
+        for j, a in enumerate(self.coords):
+            levels[max(i for i in range(m) if a[i])].append(j)
         starts = tuple(slot(b, i - 1) for i, b in enumerate(basis))
-        checks = tuple(tuple((j, slot(j, i)) for j in self.levels[i + 1]
-                             if j != basis[i]) for i in range(self.m))
-        return orbits, starts, checks
+        checks = tuple(tuple((j, slot(j, i)) for j in levels[i]
+                             if j != basis[i]) for i in range(m))
+        return starts, checks
 
     def find(self, G):
         """Search for an embedding into the host Geometry G.
@@ -270,23 +267,21 @@ class EmbedSearcher:
         hit, _ = self._search(host, G.ambient, self._rules)
         return None if hit is None else self._witness(hit, G.points)
 
-    def find_through(self, host, n, new):
-        """Is there a copy of H through new that maps b0 to it?
+    def find_through(self, host, n, p):
+        """Is there a copy of H through point p that maps b0 to p?
 
-        host and n, its ambient rank, are as _search takes them; new is
-        the (point index, position) pair of a host point.  Returns
-        _search's first raw hit with b0 pinned to new, or None.  The guest
-        must have a point.
+        host and n, its ambient rank, are as _search takes them; p is a
+        point index of PG(n-1, q) outside the host.  The guest must have a
+        point.
 
-        b0 is pinned to new and the level-0 rule is off.  This finds every
-        copy through new in which some point of O_0 maps to new: if phi(g)
-        is new for g in O_0, pick sigma in K_0 with sigma(b0) = g; phi o
-        sigma has the same image set and maps b0 to new.  The deeper levels
-        keep their rules, since K_1, K_2, ... fix b0 as a vector.  So the
-        searchers of extremal._through_searchers, whose orbits O_0 cover
-        the guest, find every copy through new between them.
+        This is find's search with b0 pinned to p at position -1, ahead of
+        every host point, so the level-0 rule holds of every copy that maps
+        b0 to p.  Such a copy exists whenever a point g of O_0 maps to p:
+        compose with sigma in K_0 taking b0 to g.  So the searchers of
+        extremal._through_searchers, whose orbits O_0 cover the guest, find
+        every copy through p between them.
         """
-        return self._search(host, n, self._anchored_rules, (new,))[0]
+        return self._search(host, n, self._rules, ((p, -1),))[0] is not None
 
     def _search(self, host, host_ambient, rules, top=(), cap=None):
         """The backtracking core of find, find_through and _chain.
@@ -298,13 +293,14 @@ class EmbedSearcher:
         _search only reads it, computing a candidate's vector the first
         time the searcher tries that point (see __init__).  rules: a table
         of _rule_table.  top: the pinned prefix, (point index, position)
-        pairs of the host points that levels 0..len(top)-1 take as their
-        images; every pinned level but the last keeps scalar 1, so the
-        prefix is pinned as vectors.  cap: raise _OutOfSteps rather than
-        try more host candidates than this, over all levels.  Returns the
-        raw hit, the scalar-times-image rows lambda_i * w_i of the basis
-        and the host position of each guest point, or None, and the
-        candidates tried.
+        pairs of the points that levels 0..len(top)-1 take as their images:
+        host points, or find_through's point outside the host at position
+        -1, ahead of every host point; every pinned level but the last
+        keeps scalar 1, so the prefix is pinned as vectors.  cap: raise
+        _OutOfSteps rather than try more host candidates than this, over
+        all levels.  Returns the raw hit, the scalar-times-image rows
+        lambda_i * w_i of the basis and the position of each guest point's
+        image, or None, and the candidates tried.
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
@@ -345,7 +341,7 @@ class EmbedSearcher:
         vecs = self.vecs.setdefault(host_ambient, {})
         nonzero = range(1, f.q)
         items = host.items()  # the candidate order
-        _, starts, rule_checks = rules
+        starts, rule_checks = rules
         independent_first = rules is self._no_rules
 
         coords, basis = self.coords, self.basis

@@ -4,18 +4,19 @@ ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
 |current set| + points still undecided.  The current set is H-free by
 invariant, so every copy of H in the set plus p goes through p: including
-p is checked by one freeness test into the set plus p: the find_through
-of each searcher of _through_searchers in turn, each pinning its own b0
-to p, up to the first hit.  A point-transitive H has one searcher, so
-one pinned search per node.
+p is checked by one freeness test: the find_through of each searcher of
+_through_searchers in turn, each pinning its own b0 to p ahead of the set,
+under find's own rule, up to the first hit.  A point-transitive H has one
+searcher, so one pinned search per node.
 
 The search keeps the current set as one host map, from the index of each
 chosen point to its position in the map, and hands it to the search core
-as it stands.  Points are chosen in increasing order, so the map is in
-index order: including p adds p at the end, and undoing that include pops
-it off again.  The vectors stay inside the searcher, which computes each
-point's vector once, the first time a freeness test tries it.  No freeness
-test builds a witness, and the largest set's indices are the witness.
+as it stands, without p.  Points are chosen in increasing order, so the
+map is in index order: an include whose freeness test passes adds p at
+the end, and undoing that include pops it off again.  The vectors stay
+inside the searcher, which computes each point's vector once, the first
+time a freeness test tries it.  No freeness test builds a witness, and the
+largest set's indices are the witness.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -132,12 +133,11 @@ def ex_exact(H, n, budget=None):
             continue
         if len(host) > 1:  # below two points, 2-transitivity fixes them
             stack.append(i + 1)
-        host[i] = k = len(host)
         for s in searchers:
-            if s.find_through(host, n, (i, k)) is not None:
-                host.popitem()
+            if s.find_through(host, n, i):
                 break
         else:
+            host[i] = len(host)
             stack += (-1, i + 1)
 
     # find is a plain search on a fresh host map, not the freeness tests'

@@ -661,6 +661,7 @@ ANCHOR_GUESTS = [
     (make_ag(3, F3), True), (make_g(3, F2, 2), True),
     (_line_and_point(F2), False), (_line_and_point(F3), False),
     (_triangle_and_point(F2), False), (_triangle_and_point(F3), False),
+    (make_pg(2, F4), True), (_line_and_point(F4), False),
 ]
 
 
@@ -681,12 +682,14 @@ def _random_free_set(images, total, rng):
 
 @pytest.mark.parametrize("guest, transitive", ANCHOR_GUESTS)
 def test_anchored_find_matches_oracle(guest, transitive):
-    # the freeness test on an H-free set plus a point p, find_through of
-    # each searcher of _through_searchers, finds an embedding exactly when
-    # some copy of the guest in the host goes through p, and each
-    # searcher's hit is its first embedding in candidate order with its b0
-    # at p.  The first searcher pins guest point 0; each further one a
-    # point outside the orbits found before it, and the orbits cover H.
+    # the freeness test of a point p against an H-free set, find_through
+    # of each searcher of _through_searchers, finds an embedding exactly
+    # when some copy of the guest in the set plus p goes through p.  Each
+    # searcher's raw hit, read through _search with find_through's
+    # arguments, is its first embedding in candidate order, p pinned at
+    # position -1 and then the set, with its b0 at p.  The first searcher
+    # pins guest point 0; each further one a point outside the orbits
+    # found before it, and the orbits cover H.
     f = guest.field
     m = geometry_rank(guest)
     searchers = _through_searchers(guest)
@@ -708,17 +711,24 @@ def test_anchored_find_matches_oracle(guest, transitive):
             assert not any(img <= free for img in images)
             outside = sorted(set(range(total)) - free)
             for p in rng.sample(outside, min(len(outside), 3)):
-                order = sorted(free | {p})
-                new = (p, order.index(p))
+                order = sorted(free)
+                kept = _host_map(order)
+                points = order + [p]  # position -1 holds p
+                top = ((p, -1),)
                 ws = []
                 for r in searchers:
-                    hit = r.find_through(_host_map(order), n, new)
-                    w = None if hit is None else r._witness(hit, order)
-                    assert w == _core_witness(r, order, n, r._no_rules, (new,))
+                    found = r.find_through(kept, n, p)
+                    hit = r._search(kept, n, r._rules, top)[0]
+                    assert found == (hit is not None)
+                    w = None if hit is None else r._witness(hit, points)
+                    first = r._search(kept, n, r._no_rules, top)[0]
+                    assert w == (None if first is None
+                                 else r._witness(first, points))
                     ws.append(w)
                 expect = any(img <= free | {p} for img in images)
-                assert any(w is not None for w in ws) == expect, (order, p)
-                host = Geometry(field=f, ambient=n, points=tuple(order))
+                assert any(w is not None for w in ws) == expect, (free, p)
+                host = Geometry(field=f, ambient=n,
+                                points=tuple(sorted(points)))
                 for r, w in zip(searchers, ws):
                     if w is not None:
                         assert w.point_map[r.basis[0]] == p
@@ -763,8 +773,13 @@ def test_witness_is_pinned(host, guest, matrix, point_map):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_memo_holds_each_canonical_vector_met_once(q, monkeypatch):
-    # a negative, a positive with a host of higher rank, and an ex_exact
-    # run whose freeness tests all share one searcher
+    # a negative, a positive with a host of higher rank, a positive that
+    # meets the zero vector, and an ex_exact run whose freeness tests all
+    # share one searcher.  The third guest is two lines of three points
+    # through e0; its basis is e2, e1, e0, and e0 lies in neither O_0 nor
+    # O_1, so every host point is a candidate for it, b0's image w0 among
+    # them, and for one scalar lambda the check of e0 + e2 meets
+    # w0 + lambda * w0 = 0.
     made = []  # every searcher built, in order
     init = EmbedSearcher.__init__
 
@@ -774,7 +789,10 @@ def test_memo_holds_each_canonical_vector_met_once(q, monkeypatch):
 
     monkeypatch.setattr(EmbedSearcher, "__init__", record)
     f = field_make(q)
-    runs = [(make_ag(3, f), make_pg(2, f)), (make_pg(3, f), make_ag(2, f))]
+    two_lines = _points(f, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                            (1, 0, 1)])
+    runs = [(make_ag(3, f), make_pg(2, f)), (make_pg(3, f), make_ag(2, f)),
+            (make_pg(3, f), two_lines)]
     for host, guest in runs:
         contains(host, guest)
     res = ex_exact(make_pg(2, f), 3, Budget(node_cap=100))

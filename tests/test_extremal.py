@@ -179,23 +179,41 @@ def test_branch_and_bound_matches_naive_oracle(H, n):
     assert ex_exact(H, n).value == brute_force_ex(H, n)
 
 
+def _record_searches(monkeypatch):
+    # every call of the search core, as (whether it ran under find's own
+    # rule table, its pinned prefix); the searcher's own self-searches run
+    # before that table exists
+    searches = []
+    search = EmbedSearcher._search
+
+    def spy(self, host, ambient, rules, top=(), cap=None):
+        searches.append((rules is getattr(self, "_rules", None), top))
+        return search(self, host, ambient, rules, top, cap)
+
+    monkeypatch.setattr(EmbedSearcher, "_search", spy)
+    return searches
+
+
 @pytest.mark.parametrize("H, n", [
     (make_pg(2, F2), 3), (make_pg(2, F2), 4), (make_ag(2, F3), 3),
     (make_pg(2, F3), 3),
 ])
 def test_anchored_freeness_tests_match_naive_oracle(H, n, monkeypatch):
     # H is point-transitive, so each freeness test fixes b0's image to the
-    # new point, the greatest in the set, with the level-0 rule off
+    # new point, greater than every point of the set and pinned ahead of
+    # it, in one search under find's own rule
     expect = brute_force_ex(H, n)
     calls = []
+    searches = _record_searches(monkeypatch)
     through = EmbedSearcher.find_through
 
-    def spy(self, host, ambient, new):
-        p = max(host)
-        last = list(host.items())[-1]
-        calls.append(ambient == n and new == last == (p, len(host) - 1)
-                     and not self._anchored_rules[0][0])
-        return through(self, host, ambient, new)
+    def spy(self, host, ambient, p):
+        searches.clear()
+        found = through(self, host, ambient, p)
+        calls.append(ambient == n and p not in host
+                     and all(i < p for i in host)
+                     and searches == [(True, ((p, -1),))])
+        return found
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
@@ -219,23 +237,30 @@ def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
     # H is not point-transitive, so no one guest point pinned to the new
     # point finds every copy: each freeness test runs one pinned search per
     # orbit representative.  Every search pins its searcher's b0 to the new
-    # point with the level-0 rule off, every hit maps b0 to it, and each
-    # hit is the first embedding with b0 there, the one the search without
-    # any rule returns
+    # point, outside the set and ahead of it, under find's own rule; every
+    # hit maps b0 to it and no other guest point there, and each hit is
+    # the first embedding with b0 there, the one the search without any
+    # rule returns
     expect = brute_force_ex(H, n)
     hits, pinned = [], set()
+    searches = _record_searches(monkeypatch)
     through = EmbedSearcher.find_through
 
-    def spy(self, host, ambient, new):
-        assert ambient == n and new == list(host.items())[-1]
-        assert not self._anchored_rules[0][0]
+    def spy(self, host, ambient, p):
+        assert ambient == n and p not in host and all(i < p for i in host)
         pinned.add(self.basis[0])
-        hit = through(self, host, ambient, new)
-        first = self._search(host, ambient, self._no_rules, (new,))[0]
+        searches.clear()
+        found = through(self, host, ambient, p)
+        assert searches == [(True, ((p, -1),))]
+        hit = self._search(host, ambient, self._rules, ((p, -1),))[0]
+        first = self._search(host, ambient, self._no_rules, ((p, -1),))[0]
+        assert found == (hit is not None)
         assert hit == first
         if hit is not None:
-            hits.append(hit[1][self.basis[0]] == new[1])
-        return hit
+            positions = hit[1]
+            hits.append(positions[self.basis[0]] == -1 and
+                        sum(k < 0 for k in positions) == 1)
+        return found
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n)
@@ -280,20 +305,20 @@ def test_ex_of_triangle_and_point_at_rank_5_within_3_s():
 def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
                                               monkeypatch):
     # at every freeness test the map ex_exact hands the search core is the
-    # one find would build for the chosen points plus the new one, in index
-    # order, and the new point is the last of them
+    # one find would build for the chosen points, in index order, and the
+    # new point lies outside it, after every chosen point
     calls = []
     through = EmbedSearcher.find_through
     total = pg_size(n, H.field)
 
-    def spy(self, host, ambient, new):
+    def spy(self, host, ambient, p):
         assert ambient == n
         order = list(host)
         assert order == sorted(set(order))
-        assert 0 <= order[0] and order[-1] < total
+        assert all(0 <= i < total for i in order) and 0 <= p < total
         assert list(host.items()) == [(i, k) for k, i in enumerate(order)]
-        calls.append(new == (order[-1], len(order) - 1))
-        return through(self, host, ambient, new)
+        calls.append(all(i < p for i in order))
+        return through(self, host, ambient, p)
 
     monkeypatch.setattr(EmbedSearcher, "find_through", spy)
     res = ex_exact(H, n, budget)
@@ -303,6 +328,45 @@ def test_freeness_tests_get_the_kept_host_map(H, n, budget, expect,
         value, status, nodes = expect
         assert (res.status, res.nodes) == (status, nodes)
         assert value is None or res.value == value
+
+
+@pytest.mark.parametrize("H, n", [(make_pg(2, F2), 4), (LINE_AND_POINT, 4)])
+def test_a_failed_freeness_test_leaves_the_host_map_alone(H, n,
+                                                         monkeypatch):
+    # the pinned point is never in the host map, and the map loses a
+    # point only when ex_exact undoes an include whose freeness test
+    # passed: no popitem follows a test that found a copy.  A freeness
+    # test is the find_through of each searcher in turn, the one with b0
+    # at guest point 0 first, up to the first hit, so the tests that pass
+    # are the first searcher's calls less the hits.  An exact run undoes
+    # every include, so it calls popitem on the map, which a profile hook
+    # sees, once per freeness test that passed.
+    maps, counts = [], {"tests": 0, "hits": 0, "pops": 0}
+    through = EmbedSearcher.find_through
+
+    def spy(self, host, ambient, p):
+        assert p not in host
+        maps.append(host)
+        found = through(self, host, ambient, p)
+        counts["tests"] += self.basis[0] == 0
+        counts["hits"] += found
+        return found
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "popitem" \
+                and maps and arg.__self__ is maps[0]:
+            counts["pops"] += 1
+
+    monkeypatch.setattr(EmbedSearcher, "find_through", spy)
+    sys.setprofile(profile)
+    try:
+        res = ex_exact(H, n)
+    finally:
+        sys.setprofile(None)
+    assert res.status == "exact"
+    assert all(host is maps[0] for host in maps)
+    assert counts["hits"] > 0 and counts["pops"] > 0
+    assert counts["pops"] == counts["tests"] - counts["hits"]
 
 
 def test_freeness_tests_build_no_witness(monkeypatch):
@@ -337,11 +401,10 @@ def test_ex_exact_computes_one_vector_per_node(monkeypatch):
     reached = [-1]
     search = EmbedSearcher._search
 
-    def spy(self, host, host_ambient, *rest, **kw):
+    def spy(self, host, host_ambient, rules, top=(), cap=None):
         if host_ambient == 5:  # not a self-search of H into itself
-            *_, last = host
-            reached[0] = max(reached[0], last)
-        return search(self, host, host_ambient, *rest, **kw)
+            reached[0] = max(reached[0], *host, *(p for p, _ in top))
+        return search(self, host, host_ambient, rules, top, cap)
 
     monkeypatch.setattr(qgeom.geometry, "point_vec", counted)
     monkeypatch.setattr(qgeom.embed, "point_vec", counted_vec)
