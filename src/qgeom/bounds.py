@@ -81,11 +81,6 @@ def ceil_log2(r):
     return _ceil_log(r, 2)
 
 
-def _ceil_minus_log2(a, eps):
-    """ceil(a - log2(eps)) for integer a and exact rational eps > 0."""
-    return a + ceil_log2(Fraction(1, 1) / eps)
-
-
 def _eps(eps):
     """eps as a Fraction; InvalidEpsilon unless 0 < eps <= 1."""
     eps = Fraction(eps)
@@ -99,7 +94,7 @@ def r_mdhj_binary(m, eps):
     eps = _eps(eps)
     if m < 2:
         raise ValueError("r_mdhj_binary needs m >= 2")
-    return 2 ** (m - 2) * _ceil_minus_log2(1, eps)
+    return 2 ** (m - 2) * (1 + ceil_log2(1 / eps))
 
 
 def r_main2_binary(m, c, eps):
@@ -110,7 +105,7 @@ def r_main2_binary(m, c, eps):
     if not m > c >= 1:
         raise ValueError("r_main2_binary needs m > c >= 1")
     eps = _eps(eps)
-    inner = _ceil_minus_log2(2, eps)
+    inner = 2 + ceil_log2(1 / eps)
     d = ceil_log2(inner)
     return tower(c, m + d)
 

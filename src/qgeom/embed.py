@@ -127,10 +127,8 @@ class EmbedSearcher:
 
         # Rule tables for the two uses: the self-searches (no rule), and
         # find and find_through (every level).
-        off = frozenset()
-        self._no_rules = self._rule_table((off,) * self.m)
+        self._no_rules = self._rule_table((frozenset(),) * self.m)
         self.orbits, self.symmetries, self.orbit_steps = self._chain(H, vecs)
-        self.orbit = self.orbits[0] if self.m else off
         self._rules = self._rule_table(self.orbits)
 
     def _chain(self, H, vecs):
@@ -303,16 +301,16 @@ class EmbedSearcher:
         image, or None, and the candidates tried.
 
         On entry to level i each guest point checked there gets its prefix
-        image pre = sum_(k<i) a_k * lambda_k * w_k, kept as the table rows
-        of x -> pre_t + a_i * lambda * x for each scalar lambda, so a
-        (w_i, lambda_i) pair costs one table lookup per coordinate.  The
-        image's point index, read from the searcher's memo (see __init__)
-        and computed only on a miss, is looked up in the host map.  Level
-        i checks every guest point it determines except b_i, whose image
-        is the candidate w_i's position.  A candidate that passes every
-        check is then reduced against the echelon rows of w_0..w_(i-1): it
-        is independent of them exactly when a nonzero remainder is left,
-        and that remainder becomes echelon row i.  The
+        image pre = sum_(k<i) a_k * lambda_k * w_k, by combine, kept as the
+        table rows of x -> pre_t + a_i * lambda * x for each scalar lambda,
+        so a (w_i, lambda_i) pair costs one table lookup per coordinate.
+        The image's point index, read from the searcher's memo (see
+        __init__) and computed only on a miss, is looked up in the host
+        map.  Level i checks every guest point it determines except b_i,
+        whose image is the candidate w_i's position.  A candidate that
+        passes every check is then reduced against the echelon rows of
+        w_0..w_(i-1): it is independent of them exactly when a nonzero
+        remainder is left, and that remainder becomes echelon row i.  The
         self-searches of _chain (the _no_rules table) reduce first: their
         host is the guest, where a candidate in the span of the pinned
         prefix tends to pass every check, up to |H| lookups per scalar,
@@ -356,11 +354,7 @@ class EmbedSearcher:
             checks = []
             for j, bound in rule_checks[i]:
                 a = coords[j]
-                pre = [0] * host_ambient
-                for k in range(i):
-                    if a[k]:
-                        step = shift[a[k]]
-                        pre = [step[x][y] for x, y in zip(pre, scaled[k])]
+                pre = combine(a[:i], scaled, f) if i else (0,) * host_ambient
                 # rows[lam][t] maps x to pre_t + a_i * lam * x.  An image
                 # at a position <= images[bound] fails; a point can meet
                 # its bounding basis point's image only if w_i depends on

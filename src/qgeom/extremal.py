@@ -87,7 +87,7 @@ def _through_searchers(H):
     point (see EmbedSearcher.find_through)."""
     searchers = [EmbedSearcher(H)]
     for g in range(len(H.points)):
-        if not any(g in s.orbit for s in searchers):
+        if not any(g in s.orbits[0] for s in searchers):
             searchers.append(EmbedSearcher(H, _b0=g))
     return searchers
 

@@ -18,7 +18,9 @@ degree of q's modulus or 1, and q is a prime power iff p^k = q.
 FieldSpec builds its addition and multiplication tables once, straight
 from these digits: addition is digit-wise mod p (a plain XOR when p = 2)
 and multiplication is the polynomial product reduced mod the modulus.
-Negation and inversion are read off the table rows.
+Negation and inversion are read off the table rows.  The digits go
+through _digits and _number, the package's one base-b codec, which
+projective also ranks and unranks points with.
 """
 
 from functools import lru_cache
@@ -36,19 +38,32 @@ _MODULI = {
 }
 
 
-def _digits(code, p, k):
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return out
+def _number(digits, q):
+    """The integer whose base-q digits, most significant first, are digits;
+    the inverse of _digits.  A long tail is read in halves, as _digits
+    writes it: about two multiplications of the result's size, not one per
+    digit."""
+    t = len(digits)
+    if t > 64:
+        hi = t - t // 2
+        return _number(digits[:hi], q) * q ** (t // 2) + \
+            _number(digits[hi:], q)
+    i = 0
+    for x in digits:
+        i = i * q + x
+    return i
 
 
-def _code(digits, p):
-    c = 0
-    for d in reversed(digits):
-        c = c * p + d
-    return c
+def _digits(i, q, t):
+    """The t base-q digits of i < q^t, most significant first.  A long i
+    is split in halves: about two divisions of i's size, not t of them."""
+    if t > 64:
+        hi, lo = divmod(i, q ** (t // 2))
+        return _digits(hi, q, t - t // 2) + _digits(lo, q, t // 2)
+    tail = [0] * t
+    for k in range(t - 1, -1, -1):
+        i, tail[k] = divmod(i, q)
+    return tuple(tail)
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -117,10 +132,12 @@ class FieldSpec(_Value):
     def __init__(self, p, k, q, modulus):
         digits = [_digits(a, p, k) for a in range(q)]
         mod = list(modulus) if k > 1 else [0, 1]
-        add = [[_code([(x + y) % p for x, y in zip(da, db)], p)
+        add = [[_number([(x + y) % p for x, y in zip(da, db)], p)
                 for db in digits] for da in digits]
-        mul = [[_code(_poly_mul_mod(da, db, mod, p), p) for db in digits]
-               for da in digits]
+        # _poly_mul_mod takes and gives the constant term first
+        poly = [d[::-1] for d in digits]
+        mul = [[_number(_poly_mul_mod(da, db, mod, p)[::-1], p) for db in poly]
+               for da in poly]
         # a nonzero row without a 1 is a zero divisor: the modulus factors
         if any(1 not in row for row in mul[1:]):
             raise ValueError("modulus %r is reducible over GF(%d)"

@@ -5,8 +5,9 @@ an integer index.  Its vector is the canonical representative of a rank-1
 subspace: the unique scalar multiple whose first nonzero coordinate is 1.
 Points are indexed by the lexicographic order of their canonical vectors
 (coordinates compared by code), which is the order iter_canonical_vectors
-yields them in; point_index and point_vec convert by arithmetic, so no
-table over the whole space is ever built.
+yields them in; point_index and point_vec convert by arithmetic, reading
+the tail after the leading 1 in base q with field's codec, so no table
+over the whole space is ever built.
 
 Flats are subspaces stored as reduced row-echelon bases, which are unique
 per subspace, so flats compare and hash structurally.  Rank here always
@@ -21,6 +22,7 @@ from itertools import product
 from operator import getitem
 
 from .errors import ZeroVector
+from .field import _digits, _number
 
 
 class Flat(namedtuple("Flat", "basis n field")):
@@ -68,8 +70,7 @@ def point_index(v, n, f):
         raise ValueError("vector length %d differs from ambient rank %d"
                          % (len(cv), n))
     lead = cv.index(1)
-    q = f.q
-    return (q ** (n - 1 - lead) - 1) // (q - 1) + _number(cv[lead + 1:], q)
+    return pg_size(n - 1 - lead, f) + _number(cv[lead + 1:], f.q)
 
 
 def point_vec(i, n, f):
@@ -89,34 +90,6 @@ def point_vec(i, n, f):
         mid = (t + hi) // 2
         t, hi = (mid, hi) if q ** mid <= x else (t, mid)
     return (0,) * (n - 1 - t) + (1,) + _digits(i - pg_size(t, f), q, t)
-
-
-def _number(digits, q):
-    """The integer whose base-q digits, most significant first, are digits;
-    the inverse of _digits.  A long tail is read in halves, as _digits
-    writes it: about two multiplications of the result's size, not one per
-    digit."""
-    t = len(digits)
-    if t > 64:
-        hi = t - t // 2
-        return _number(digits[:hi], q) * q ** (t // 2) + \
-            _number(digits[hi:], q)
-    i = 0
-    for x in digits:
-        i = i * q + x
-    return i
-
-
-def _digits(i, q, t):
-    """The t base-q digits of i < q^t, most significant first.  A long i
-    is split in halves: about two divisions of i's size, not t of them."""
-    if t > 64:
-        hi, lo = divmod(i, q ** (t // 2))
-        return _digits(hi, q, t - t // 2) + _digits(lo, q, t // 2)
-    tail = [0] * t
-    for k in range(t - 1, -1, -1):
-        i, tail[k] = divmod(i, q)
-    return tuple(tail)
 
 
 def combine(coeffs, rows, f):
@@ -139,7 +112,6 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
     return num // den
 
 

@@ -462,16 +462,16 @@ def test_orbit_is_within_the_automorphism_orbit(guest, transitive):
     s = EmbedSearcher(guest)
     autos = _automorphisms(guest)
     true_orbit = {perm[0] for perm in autos}
-    assert 0 in s.orbit
+    assert 0 in s.orbits[0]
     assert set(s.symmetries) <= autos
-    assert s.orbit <= true_orbit
+    assert s.orbits[0] <= true_orbit
     for perm in s.symmetries:
-        assert {perm[j] for j in s.orbit} == s.orbit
+        assert {perm[j] for j in s.orbits[0]} == s.orbits[0]
     # the line profile skips every point outside the true orbit, so the
     # budget is not spent on them and these small guests get the whole orbit
-    assert s.orbit == true_orbit
+    assert s.orbits[0] == true_orbit
     if transitive:
-        assert s.orbit == set(range(len(guest)))
+        assert s.orbits[0] == set(range(len(guest)))
 
 
 def test_points_outside_the_orbit_get_no_self_search():
@@ -479,14 +479,14 @@ def test_points_outside_the_orbit_get_no_self_search():
     # are collinear and point 1 is off their line.  A failed self-search
     # for point 1 would use the whole budget of 24 steps before the others.
     s = EmbedSearcher(_triangle_and_point(F2))
-    assert s.orbit == {0, 2, 3}
+    assert s.orbits[0] == {0, 2, 3}
     assert s.orbit_steps < s.size * s.m * s.f.q
 
 
 def test_orbit_rule_is_exercised_on_non_transitive_guests():
     # guests with more than one orbit, whose found orbit still moves point 0
     moved = [guest for guest, transitive in SYMMETRIC_GUESTS
-             if not transitive and len(EmbedSearcher(guest).orbit) > 1]
+             if not transitive and len(EmbedSearcher(guest).orbits[0]) > 1]
     assert len(moved) >= 3
 
 
@@ -550,7 +550,6 @@ CHAIN_GUESTS = [(guest, True) for guest, _ in SYMMETRIC_GUESTS] + [
 def test_chain_is_within_the_stabilizer_chain(guest, whole):
     s = EmbedSearcher(guest)
     true_chain = _stabilizer_chain(s)
-    assert s.orbit == s.orbits[0]
     assert len(s.orbits) == s.m
     for level, orbit in enumerate(s.orbits):
         assert s.basis[level] in orbit
@@ -619,7 +618,7 @@ def test_rule_keeps_the_first_witness_in_any_candidate_order(q):
     seen, moved = set(), set()
     for guest, transitive in guests:
         s = EmbedSearcher(guest)
-        assert (len(s.orbit) == len(guest)) == transitive
+        assert (len(s.orbits[0]) == len(guest)) == transitive
         for n in (s.m, s.m + 1) if pg_size(s.m + 1, f) <= 40 else (s.m,):
             total = pg_size(n, f)
             for _ in range(4):
@@ -645,7 +644,7 @@ def test_chain_cuts_deeper_levels():
     # whole chain than by the rule of level 0 alone
     s = EmbedSearcher(make_pg(3, F2))
     host = make_g(5, F2, 2)
-    level_0 = s._rule_table((s.orbit,) + (frozenset(),) * (s.m - 1))
+    level_0 = s._rule_table((s.orbits[0],) + (frozenset(),) * (s.m - 1))
     own = _host_map(host.points)
     hit, steps = s._search(own, host.ambient, s._rules)
     hit_0, steps_0 = s._search(own, host.ambient, level_0)
@@ -695,12 +694,13 @@ def test_anchored_find_matches_oracle(guest, transitive):
     searchers = _through_searchers(guest)
     s = searchers[0]
     assert s.basis[0] == 0
-    assert (len(s.orbit) == len(guest)) == transitive
+    assert (len(s.orbits[0]) == len(guest)) == transitive
     assert (len(searchers) == 1) == transitive
     for k, r in enumerate(searchers):
-        assert r.basis[0] in r.orbit
-        assert not any(r.basis[0] in t.orbit for t in searchers[:k])
-    assert set().union(*(r.orbit for r in searchers)) == set(range(len(guest)))
+        assert r.basis[0] in r.orbits[0]
+        assert not any(r.basis[0] in t.orbits[0] for t in searchers[:k])
+    assert set().union(*(r.orbits[0] for r in searchers)) == \
+        set(range(len(guest)))
     rng = random.Random(7 * len(guest) + f.q + m)
     seen = set()
     for n in (3, 4) if m == 2 or f.q == 2 else (3,):

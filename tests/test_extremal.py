@@ -1,5 +1,7 @@
+import ast
 import gc
 import json
+import os
 import random
 import subprocess
 import sys
@@ -442,6 +444,35 @@ def test_importing_extremal_loads_no_fractions():
                        text=True, timeout=30)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module, loads", [
+    ("bounds", ["bounds"]),
+    ("field", ["field"]),
+    ("projective", ["field", "projective"]),
+])
+def test_importing_a_low_layer_loads_only_its_own_modules(module, loads):
+    # each CLI subcommand imports what it uses when it runs, so a bounds
+    # job loads only bounds, and the codec projective takes from field
+    # costs no job a module it would not load anyway
+    code = ("import sys, qgeom.%s; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'qgeom')))" % module)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=30)
+    assert r.returncode == 0, r.stderr
+    expect = ["qgeom", "qgeom.errors"] + ["qgeom." + m for m in loads]
+    assert r.stdout.split() == sorted(expect)
+
+
+def test_src_has_no_assert_statements():
+    # contract checks must hold under python -O, which strips asserts
+    src = os.path.dirname(qgeom.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            assert not any(isinstance(node, ast.Assert)
+                           for node in ast.walk(tree)), name
 
 
 BAD_BUDGETS = [Budget(time_cap=float("nan")), Budget(time_cap=-1),

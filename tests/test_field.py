@@ -74,6 +74,54 @@ def test_element_codes_follow_the_frozen_modulus(q):
         assert expect == 4
 
 
+def _polynomial_tables(q):
+    """GF(q)'s addition and multiplication tables, rebuilt from its frozen
+    modulus by plain polynomial arithmetic over GF(p): code a stands for
+    sum_i c_i x^i with c_i the base-p digits of a, c_0 the least
+    significant."""
+    p, k = FACTORS[q]
+    mod = _MODULI.get(q)
+
+    def coeffs(a):
+        return [a // p ** i % p for i in range(k)]
+
+    def code(c):
+        return sum(x % p * p ** i for i, x in enumerate(c))
+
+    def times(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(coeffs(a)):
+            for j, y in enumerate(coeffs(b)):
+                prod[i + j] += x * y
+        # x^k = -(mod_0 + mod_1 x + ... + mod_(k-1) x^(k-1)), top degree first
+        for d in range(2 * k - 2, k - 1, -1):
+            c, prod[d] = prod[d], 0
+            for i in range(k):
+                prod[d - k + i] -= c * mod[i]
+        return code(prod[:k])
+
+    add = [[code(map(sum, zip(coeffs(a), coeffs(b)))) for b in range(q)]
+           for a in range(q)]
+    mul = [[times(a, b) for b in range(q)] for a in range(q)]
+    return add, mul
+
+
+@pytest.mark.parametrize("q", SUPPORTED)
+def test_every_table_entry_follows_the_frozen_modulus(q):
+    # element codes fix the coordinates of every geometry file, so every
+    # entry is pinned, not a sample
+    f = field_make(q)
+    add, mul = _polynomial_tables(q)
+    assert f.add_table == add
+    assert f.mul_table == mul
+    for a in range(q):
+        assert add[a][f.neg(a)] == 0
+        if a:
+            assert mul[a][f.inv(a)] == 1
+        for c in range(q):
+            assert f.shift[c][a] == [add[a][mul[c][y]] for y in range(q)]
+
+
 def test_gf2_addition_is_xor():
     f = field_make(2)
     assert f.add(1, 1) == 0
