@@ -119,8 +119,19 @@ def cmd_extremal(args):
     return 0
 
 
+def density_rows_to_csv(rows):
+    """CSV serialization: exact rationals split into numerator/denominator."""
+    lines = ["n,ex,total,density_num,density_den,limit_num,limit_den,status"]
+    for r in rows:
+        lines.append("%d,%d,%d,%d,%d,%d,%d,%s" % (
+            r.n, r.ex, r.total,
+            r.density.numerator, r.density.denominator,
+            r.limit.numerator, r.limit.denominator, r.status))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_density(args):
-    from .extremal import density_rows_to_csv, density_table
+    from .extremal import density_table
     H = _load_geometry(args.forbid)
     rows = density_table(H, range(args.n_min, args.n_max + 1),
                          budget=_budget_from_args(args))

@@ -41,7 +41,7 @@ b_0..b_(l-1) pinned to themselves, all levels within one budget of
 
 ex_exact's freeness test asks for a copy of H through a new point p:
 find_through pins b0 to p ahead of the host, under find's own rule, for
-one searcher per orbit representative (see extremal._through_searchers).
+one searcher per orbit representative (see through_searchers).
 
 A witness records the map in coordinates of the canonical (RREF) basis of
 span(H), so verify_witness can check it without re-running any search.
@@ -92,8 +92,7 @@ class EmbedSearcher:
         self.size = len(vecs)
 
         # the basis starts at guest position _b0, which is 0 except in the
-        # further searchers of extremal._through_searchers, and takes the
-        # rest in order
+        # further searchers of through_searchers, and takes the rest in order
         echelon, basis = [], []
         for j in sorted(range(self.size), key=lambda j: j != _b0):
             new = reduce_row(vecs[j], echelon, f)
@@ -255,9 +254,8 @@ class EmbedSearcher:
         refuses no host up front: a host with fewer points than the guest,
         or of an ambient rank below the guest's rank, gets None from the
         search itself, and contains refuses both before it builds a
-        searcher.  ex_exact
-        keeps its own map across many searches and calls find_through
-        instead.
+        searcher.  ex_exact keeps its own map across many searches and
+        calls find_through instead.
         """
         if self.m == 0:
             return EmbeddingWitness(map=(), point_map=())
@@ -276,8 +274,8 @@ class EmbedSearcher:
         every host point, so the level-0 rule holds of every copy that maps
         b0 to p.  Such a copy exists whenever a point g of O_0 maps to p:
         compose with sigma in K_0 taking b0 to g.  So the searchers of
-        extremal._through_searchers, whose orbits O_0 cover the guest, find
-        every copy through p between them.
+        through_searchers, whose orbits O_0 cover the guest, find every
+        copy through p between them.
         """
         return self._search(host, n, self._rules, ((p, -1),))[0] is not None
 
@@ -302,8 +300,10 @@ class EmbedSearcher:
 
         On entry to level i each guest point checked there gets its prefix
         image pre = sum_(k<i) a_k * lambda_k * w_k, by combine, kept as the
-        table rows of x -> pre_t + a_i * lambda * x for each scalar lambda,
-        so a (w_i, lambda_i) pair costs one table lookup per coordinate.
+        table rows of x -> pre_t + a_i * lambda * x for each nonzero scalar
+        lambda, so a (w_i, lambda_i) pair costs one table lookup per
+        coordinate.  Level 0 has no checks: b0 is the only guest point
+        that b0's image alone fixes.
         The image's point index, read from the searcher's memo (see
         __init__) and computed only on a miss, is looked up in the host
         map.  Level i checks every guest point it determines except b_i,
@@ -354,13 +354,13 @@ class EmbedSearcher:
             checks = []
             for j, bound in rule_checks[i]:
                 a = coords[j]
-                pre = combine(a[:i], scaled, f) if i else (0,) * host_ambient
-                # rows[lam][t] maps x to pre_t + a_i * lam * x.  An image
-                # at a position <= images[bound] fails; a point can meet
-                # its bounding basis point's image only if w_i depends on
-                # w_0..w_(i-1), which fails anyway.
-                checks.append((j, bound, [[shift[c][x] for x in pre]
-                                          for c in mul[a[i]]]))
+                pre = combine(a[:i], scaled, f)
+                # rows[lam][t] maps x to pre_t + a_i * lam * x, lam > 0.
+                # An image at a position <= images[bound] fails; a point
+                # can meet its bounding basis point's image only if w_i
+                # depends on w_0..w_(i-1), which fails anyway.
+                checks.append((j, bound, [None] + [[shift[c][x] for x in pre]
+                                                   for c in mul[a[i]][1:]]))
             if i < len(top):
                 candidates = (top[i],)
             elif starts[i] == self.size:
@@ -420,6 +420,18 @@ class EmbedSearcher:
         rows = [combine(trow, scaled, self.f) for trow in self.basis_to_rref]
         return EmbeddingWitness(map=tuple(rows),
                                 point_map=tuple(points[k] for k in positions))
+
+
+def through_searchers(H):
+    """The searchers of ex_exact's freeness test: b0 at guest point 0, then
+    at each guest point outside the orbits O_0 found so far.  Their O_0
+    cover H, so their find_through calls find every copy of H through a new
+    point between them; a point-transitive H has one searcher."""
+    searchers = [EmbedSearcher(H)]
+    for g in range(len(H.points)):
+        if not any(g in s.orbits[0] for s in searchers):
+            searchers.append(EmbedSearcher(H, _b0=g))
+    return searchers
 
 
 def contains(G, H):

@@ -4,19 +4,15 @@ ex_exact runs a branch-and-bound over the points of PG(n-1, q) in index
 order with the classic include/exclude scheme.  The bound at a node is
 |current set| + points still undecided.  The current set is H-free by
 invariant, so every copy of H in the set plus p goes through p: including
-p is checked by one freeness test: the find_through of each searcher of
-_through_searchers in turn, each pinning its own b0 to p ahead of the set,
-under find's own rule, up to the first hit.  A point-transitive H has one
-searcher, so one pinned search per node.
+p is checked by one freeness test, the find_through calls of
+embed.through_searchers in turn, up to the first hit.
 
 The search keeps the current set as one host map, from the index of each
-chosen point to its position in the map, and hands it to the search core
-as it stands, without p.  Points are chosen in increasing order, so the
-map is in index order: an include whose freeness test passes adds p at
-the end, and undoing that include pops it off again.  The vectors stay
-inside the searcher, which computes each point's vector once, the first
-time a freeness test tries it.  No freeness test builds a witness, and the
-largest set's indices are the witness.
+chosen point to its position in the map, and hands it to the freeness
+test as it stands, without p.  Points are chosen in increasing order, so
+the map is in index order: an include whose freeness test passes adds p
+at the end, and undoing that include pops it off again.  No freeness test
+builds a witness, and the largest set's indices are the witness.
 
 ex_q(H; n) is defined up to projective equivalence, and GL(n, q) is
 2-transitive on the points of PG(n-1, q): every H-free set of two or more
@@ -36,7 +32,7 @@ silently be no cap at all.
 import time
 from collections import namedtuple
 
-from .embed import EmbedSearcher, contains
+from .embed import contains, through_searchers
 from .errors import EmptyGeometry
 from .geometry import (Geometry, _listable_size, critical_exponent,
                        first_flat, g_size)
@@ -80,18 +76,6 @@ def _checked(budget):
     return budget
 
 
-def _through_searchers(H):
-    """ex_exact's searchers: b0 at guest point 0, then at each guest point
-    outside the orbits O_0 found so far.  Their O_0 cover H, so between
-    them their find_through calls find every copy of H through a host
-    point (see EmbedSearcher.find_through)."""
-    searchers = [EmbedSearcher(H)]
-    for g in range(len(H.points)):
-        if not any(g in s.orbits[0] for s in searchers):
-            searchers.append(EmbedSearcher(H, _b0=g))
-    return searchers
-
-
 def ex_exact(H, n, budget=None):
     """Largest H-free point set in PG(n-1, q), with a witness.
 
@@ -106,7 +90,7 @@ def ex_exact(H, n, budget=None):
     if not H.points:
         raise EmptyGeometry("ex_exact of the empty geometry")
     budget = _checked(budget)
-    searchers = _through_searchers(H)
+    searchers = through_searchers(H)
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     best = []  # the points of the largest set so far
@@ -193,13 +177,3 @@ def density_table(H, n_range, budget=None):
                                limit=limit, status=res.status))
     return rows
 
-
-def density_rows_to_csv(rows):
-    """CSV serialization: exact rationals split into numerator/denominator."""
-    lines = ["n,ex,total,density_num,density_den,limit_num,limit_den,status"]
-    for r in rows:
-        lines.append("%d,%d,%d,%d,%d,%d,%d,%s" % (
-            r.n, r.ex, r.total,
-            r.density.numerator, r.density.denominator,
-            r.limit.numerator, r.limit.denominator, r.status))
-    return "\n".join(lines) + "\n"

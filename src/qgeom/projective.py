@@ -13,8 +13,9 @@ Flats are subspaces stored as reduced row-echelon bases, which are unique
 per subspace, so flats compare and hash structurally.  Rank here always
 means subspace dimension: a rank-k flat carries (q^k - 1)/(q - 1) points.
 
-reduce_row is the one elimination step over GF(q): rref, the embedding
-search and the flat search of flats_meeting all reduce vectors through it.
+reduce_row is the one elimination and scaling step over GF(q): rref, the
+embedding search and the flat search of flats_meeting reduce vectors
+through it, and canonical_vec scales them to a leading 1 through it.
 """
 
 from collections import namedtuple
@@ -37,11 +38,11 @@ class Flat(namedtuple("Flat", "basis n field")):
 
 
 def canonical_vec(v, f):
-    """Scale v so its first nonzero coordinate is 1."""
-    lead = next(filter(None, v), 0)
-    if not lead:
+    """Scale v so its first nonzero coordinate is 1, by reduce_row."""
+    new = reduce_row(v, (), f)
+    if new is None:
         raise ZeroVector("cannot canonicalize the zero vector")
-    return tuple(map(f.unit[lead].__getitem__, v))
+    return new[1]
 
 
 def iter_canonical_vectors(n, f):

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgeom
-from qgeom import FieldSpec, Geometry, QgeomError, geometry_from_json
-from qgeom.cli import main
+from qgeom import (FieldSpec, Geometry, QgeomError, density_table,
+                   field_make, geometry_from_json, make_pg)
+from qgeom.cli import density_rows_to_csv, main
 
 
 def run_cli(*args, **kw):
@@ -233,6 +234,14 @@ def test_density_command(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[1] == "2,2,3,2,3,1,2,exact"
     assert lines[2] == "3,4,7,4,7,1,2,exact"
+
+
+def test_density_csv_shape():
+    rows = density_table(make_pg(2, field_make(2)), range(2, 4))
+    csv = density_rows_to_csv(rows)
+    lines = csv.strip().split("\n")
+    assert lines[0].startswith("n,ex,total,density_num")
+    assert lines[1] == "2,2,3,2,3,1,2,exact"
 
 
 def test_negative_or_nan_budgets_exit_2(tmp_path):

@@ -30,8 +30,7 @@ from qgeom import (
     pg_size,
     verify_witness,
 )
-from qgeom.embed import EmbedSearcher
-from qgeom.extremal import _through_searchers
+from qgeom.embed import EmbedSearcher, through_searchers
 from qgeom.geometry import span_coordinates
 from qgeom.projective import (canonical_vec, iter_flats, point_index,
                                point_vec, rref)
@@ -664,6 +663,26 @@ ANCHOR_GUESTS = [
 ]
 
 
+@pytest.mark.parametrize("guest", [
+    _line_and_point(F2), _line_and_point(F3),
+    _triangle_and_point(F2), _triangle_and_point(F3)])
+def test_through_searchers_orbits_cover_the_guest(guest):
+    # the freeness test is complete only because the searchers' level-0
+    # orbits O_0 cover H: the first searcher pins guest point 0 and each
+    # later one a point outside the orbits before it.  On these small
+    # guests each O_0 is the whole automorphism orbit of its b0.
+    autos = _automorphisms(guest)
+    searchers = through_searchers(guest)
+    assert searchers[0].basis[0] == 0 and len(searchers) > 1
+    covered = set()
+    for s in searchers:
+        b0 = s.basis[0]
+        assert b0 not in covered
+        assert s.orbits[0] == {perm[b0] for perm in autos}
+        covered |= s.orbits[0]
+    assert covered == set(range(len(guest)))
+
+
 def _random_free_set(images, total, rng):
     # a random H-free set: points in random order, each kept with a random
     # probability unless it would complete some image set of H
@@ -682,7 +701,7 @@ def _random_free_set(images, total, rng):
 @pytest.mark.parametrize("guest, transitive", ANCHOR_GUESTS)
 def test_anchored_find_matches_oracle(guest, transitive):
     # the freeness test of a point p against an H-free set, find_through
-    # of each searcher of _through_searchers, finds an embedding exactly
+    # of each searcher of through_searchers, finds an embedding exactly
     # when some copy of the guest in the set plus p goes through p.  Each
     # searcher's raw hit, read through _search with find_through's
     # arguments, is its first embedding in candidate order, p pinned at
@@ -691,7 +710,7 @@ def test_anchored_find_matches_oracle(guest, transitive):
     # found before it, and the orbits cover H.
     f = guest.field
     m = geometry_rank(guest)
-    searchers = _through_searchers(guest)
+    searchers = through_searchers(guest)
     s = searchers[0]
     assert s.basis[0] == 0
     assert (len(s.orbits[0]) == len(guest)) == transitive

@@ -36,7 +36,6 @@ from qgeom import (
     point_index,
 )
 from qgeom.embed import EmbedSearcher
-from qgeom.extremal import density_rows_to_csv
 from qgeom.projective import iter_flats
 
 F2 = field_make(2)
@@ -269,7 +268,7 @@ def test_unpinned_freeness_tests_only_find_copies_through_the_new_point(
     assert (res.value, res.status) == (expect, "exact")
     assert len(hits) > 1 and all(hits)
     assert len(pinned) > 1
-    assert pinned == {s.basis[0] for s in qgeom.extremal._through_searchers(H)}
+    assert pinned == {s.basis[0] for s in qgeom.embed.through_searchers(H)}
 
 
 # ex(triangle and point; 5) in a new process: the guest is not
@@ -486,7 +485,7 @@ def test_negative_or_nan_caps_raise_before_any_search(budget, monkeypatch):
     def no_search(*args):
         raise AssertionError("searched with a bad budget")
 
-    monkeypatch.setattr(qgeom.extremal, "EmbedSearcher", no_search)
+    monkeypatch.setattr(qgeom.embed, "EmbedSearcher", no_search)
     monkeypatch.setattr(qgeom.extremal, "critical_exponent", no_search)
     with pytest.raises(ValueError):
         ex_exact(make_pg(2, F2), 3, budget)
@@ -620,11 +619,3 @@ def test_density_table_cap_sets():
 
 def test_density_table_empty_range():
     assert density_table(make_pg(2, F2), range(3, 3)) == []
-
-
-def test_density_csv_shape():
-    rows = density_table(make_pg(2, F2), range(2, 4))
-    csv = density_rows_to_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("n,ex,total,density_num")
-    assert lines[1] == "2,2,3,2,3,1,2,exact"

@@ -30,6 +30,23 @@ def test_canonical_vec_scales_leading_coefficient():
     assert canonical_vec((0, 2, 1), F3) == (0, 1, 2)
     assert canonical_vec((1, 1, 0), F2) == (1, 1, 0)
     assert canonical_vec((3, 0, 0, 0), field_make(5)) == (1, 0, 0, 0)
+    # every nonzero multiple of a vector has the same canonical vector: the
+    # one multiple whose first nonzero coordinate is 1
+    rng = random.Random(29)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        f = field_make(q)
+        for n in range(1, 6):
+            with pytest.raises(ZeroVector):
+                canonical_vec((0,) * n, f)
+            for _ in range(20):
+                v = tuple(rng.randrange(q) for _ in range(n))
+                if not any(v):
+                    continue
+                multiples = [tuple(f.mul_table[c][x] for x in v)
+                             for c in range(1, q)]
+                ones = [w for w in multiples if next(filter(None, w)) == 1]
+                assert len(ones) == 1
+                assert {canonical_vec(w, f) for w in multiples} == {ones[0]}
 
 
 def test_point_index_rejects_zero():
